@@ -2,7 +2,6 @@
 deterministic family-eating simulator."""
 
 from .signal_core import (
-    AccelSample,
     AccelSeries,
     DetectorConfig,
     GestureWindow,
@@ -12,7 +11,7 @@ from .signal_core import (
     extract_window,
     smooth,
 )
-from .events import EatingEvent, GestureCluster, StreamDetector, cluster_gestures, detect_events
+from .events import EatingEvent, GestureCluster, StreamDetector, detect_events
 from .classifier import (
     LabeledWindow,
     ModelWeights,
@@ -44,7 +43,6 @@ from .sim import HomeConfig, ParticipantSpec, ResponderProfile, load_home_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelSample",
     "AccelSeries",
     "DetectorConfig",
     "GestureWindow",
@@ -56,7 +54,6 @@ __all__ = [
     "EatingEvent",
     "GestureCluster",
     "StreamDetector",
-    "cluster_gestures",
     "detect_events",
     "LabeledWindow",
     "ModelWeights",

@@ -9,8 +9,7 @@ at least 7 for the shape arithmetic to stay positive.
 
 Training is deliberately plain: seeded fan-in-scaled uniform init,
 mini-batch SGD on binary cross-entropy, single-threaded, bit-reproducible
-for a given seed and kernel build. Ambiguous windows are excluded from
-training.
+for a given seed. Ambiguous windows are excluded from training.
 """
 from __future__ import annotations
 
@@ -176,16 +175,6 @@ def init_weights(n: int, rate: float, rng: np.random.Generator) -> ModelWeights:
     ).validate()
 
 
-def conv2d_valid(x: np.ndarray, filters: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    """Valid 2x2 convolution of an (H, W, C) tensor with (2, 2, C, F) filters."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] < 2 or x.shape[1] < 2:
-        raise ShapeError(f"input shape {x.shape} too small for a 2x2 valid convolution")
-    if filters.shape[:3] != (2, 2, x.shape[2]):
-        raise ShapeError(f"filters {filters.shape} do not match input channels {x.shape[2]}")
-    return kernels.conv2d(np.ascontiguousarray(x), np.ascontiguousarray(filters), biases)
-
-
 def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -201,13 +190,13 @@ def _window_array(window) -> np.ndarray:
 
 
 def _forward_cached(w: ModelWeights, x: np.ndarray) -> tuple[float, dict]:
-    x3 = np.ascontiguousarray(x.reshape(x.shape[0], 3, 1))
+    x3 = x.reshape(x.shape[0], 3, 1)
     z1 = kernels.conv2d(x3, w.conv1_w, w.conv1_b)
     a1 = np.maximum(z1, 0.0)
-    p1, i1 = kernels.maxpool2(np.ascontiguousarray(a1))
-    z2 = kernels.conv2d(np.ascontiguousarray(p1), w.conv2_w, w.conv2_b)
+    p1, i1 = kernels.maxpool2(a1)
+    z2 = kernels.conv2d(p1, w.conv2_w, w.conv2_b)
     a2 = np.maximum(z2, 0.0)
-    p2, i2 = kernels.maxpool2(np.ascontiguousarray(a2))
+    p2, i2 = kernels.maxpool2(a2)
     flat = p2.reshape(-1)
     z3 = flat @ w.dense1_w + w.dense1_b
     a3 = np.maximum(z3, 0.0)
@@ -251,14 +240,14 @@ def _backward(w: ModelWeights, cache: dict, dz5: float) -> dict[str, np.ndarray]
     grads["dense1_w"] = np.outer(flat, dz3)
     grads["dense1_b"] = dz3
     dflat = w.dense1_w @ dz3
-    dp2 = np.ascontiguousarray(dflat.reshape(cache["p2"].shape))
+    dp2 = dflat.reshape(cache["p2"].shape)
     da2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["a2"].shape[0])
-    dz2 = np.ascontiguousarray(da2 * (cache["z2"] > 0))
+    dz2 = da2 * (cache["z2"] > 0)
     dp1, dw2, db2 = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2)
     grads["conv2_w"] = dw2
     grads["conv2_b"] = db2
-    da1 = kernels.maxpool2_backward(np.ascontiguousarray(dp1), cache["i1"], cache["a1"].shape[0])
-    dz1 = np.ascontiguousarray(da1 * (cache["z1"] > 0))
+    da1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["a1"].shape[0])
+    dz1 = da1 * (cache["z1"] > 0)
     _, dw1, db1 = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1)
     grads["conv1_w"] = dw1
     grads["conv1_b"] = db1

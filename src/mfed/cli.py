@@ -28,7 +28,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one comma-separated number")
+    return values
 
 
 def build_parser() -> _Parser:

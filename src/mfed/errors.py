@@ -36,7 +36,8 @@ class FormatError(MfedError):
 
 
 class InsufficientData(MfedError):
-    """Training data lacks a positive or negative class."""
+    """The input holds too little data: a trace without samples, or
+    training data lacking a positive or negative class."""
 
 
 class ClockRegression(MfedError):

@@ -63,18 +63,6 @@ class EatingEvent:
         return tuple(t for c in self.clusters for t in c.times)
 
 
-def cluster_gestures(times, max_gap: float = CLUSTER_GAP) -> list[GestureCluster]:
-    """Partition sorted gesture times into maximal runs with gaps <= max_gap."""
-    out: list[GestureCluster] = []
-    start = 0
-    n = len(times)
-    for i in range(1, n + 1):
-        if i == n or times[i] - times[i - 1] > max_gap:
-            out.append(GestureCluster(tuple(times[start:i])))
-            start = i
-    return out
-
-
 def detect_events(times, participant_id: str | None = None) -> list[EatingEvent]:
     """Full clustering rule over a sorted gesture-time list."""
     n = len(times)

@@ -1,11 +1,9 @@
 """Numeric inner loops: smoothing, the PoI scan, and the CNN layers.
 
-Each kernel has a ``*_jit`` build (plain loops, numba-compiled when
-enabled) and a ``*_np`` build (vectorized numpy). The module-level names
-bind to whichever build `_accel` selected; both stay importable so tests
-and the benchmark can compare them directly.
+Each kernel exists once, written in numpy; ``signal_core`` and
+``classifier`` are their only callers in the package.
 
-Conventions shared by both builds:
+Conventions:
   - acceleration matrices are float64 ``(n, 3)`` arrays, channel order x/y/z
   - variance is the population variance, summed over the three channels
   - max-pooling halves the time axis (pairs, stride 2, floor) and breaks
@@ -15,14 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _accel
-from ._accel import njit
-
 # ---------------------------------------------------------------------------
 # centered moving average, window truncated at the series edges
 
 
-def _moving_average_np(x: np.ndarray, half: int) -> np.ndarray:
+def moving_average(x: np.ndarray, half: int) -> np.ndarray:
     n = x.shape[0]
     if half <= 0 or n == 0:
         return x.copy()
@@ -34,41 +29,18 @@ def _moving_average_np(x: np.ndarray, half: int) -> np.ndarray:
     return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
 
 
-@njit
-def _moving_average_jit(x, half):
-    n, chans = x.shape
-    out = np.empty_like(x)
-    if half <= 0:
-        for i in range(n):
-            for c in range(chans):
-                out[i, c] = x[i, c]
-        return out
-    for c in range(chans):
-        for i in range(n):
-            lo = i - half
-            if lo < 0:
-                lo = 0
-            hi = i + half
-            if hi > n - 1:
-                hi = n - 1
-            s = 0.0
-            for r in range(lo, hi + 1):
-                s += x[r, c]
-            out[i, c] = s / (hi - lo + 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # PoI scan over one contiguous segment
 #
-# Predicate order is fixed: strict negative peaks, closer-than-min_gap
-# suppression (more negative wins, ties keep the earlier peak), the
-# acceleration threshold, then the summed-variance filter over a window of
-# `left` samples before and `right` after the peak. Peaks whose window is
-# not fully inside the segment are discarded.
+# Predicate order is fixed: strict negative peaks on the x channel,
+# closer-than-min_gap suppression (more negative wins, ties keep the earlier
+# peak), the acceleration threshold, then the summed-variance filter over a
+# window of `left` samples before and `right` after the peak. Peaks whose
+# window is not fully inside the segment are discarded.
 
 
-def _poi_scan_np(t, xs, xyz, x_th, v_th, min_gap, left, right):
+def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
+    xs = xyz[:, 0]
     n = xs.shape[0]
     if n < 3:
         return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -100,64 +72,11 @@ def _poi_scan_np(t, xs, xyz, x_th, v_th, min_gap, left, right):
     return np.asarray(idx_out, np.int64), np.asarray(var_out, np.float64)
 
 
-@njit
-def _poi_scan_jit(t, xs, xyz, x_th, v_th, min_gap, left, right):
-    n = xs.shape[0]
-    idx_out = np.empty(n, np.int64)
-    var_out = np.empty(n, np.float64)
-    if n < 3:
-        return idx_out[:0], var_out[:0]
-
-    peaks = np.empty(n, np.int64)
-    m = 0
-    for i in range(1, n - 1):
-        if xs[i] < xs[i - 1] and xs[i] < xs[i + 1]:
-            peaks[m] = i
-            m += 1
-
-    kept = np.empty(m, np.int64)
-    k = 0
-    for j in range(m):
-        i = peaks[j]
-        if k > 0 and t[i] - t[kept[k - 1]] < min_gap:
-            if xs[i] < xs[kept[k - 1]]:
-                kept[k - 1] = i
-        else:
-            kept[k] = i
-            k += 1
-
-    q = 0
-    for j in range(k):
-        i = kept[j]
-        if xs[i] > x_th:
-            continue
-        lo = i - left
-        hi = i + right
-        if lo < 0 or hi >= n:
-            continue
-        count = hi - lo + 1
-        vsum = 0.0
-        for c in range(3):
-            s = 0.0
-            s2 = 0.0
-            for r in range(lo, hi + 1):
-                v = xyz[r, c]
-                s += v
-                s2 += v * v
-            mu = s / count
-            vsum += s2 / count - mu * mu
-        if vsum > v_th:
-            idx_out[q] = i
-            var_out[q] = vsum
-            q += 1
-    return idx_out[:q], var_out[:q]
-
-
 # ---------------------------------------------------------------------------
 # valid 2x2 convolution: (H, W, C) -> (H-1, W-1, F)
 
 
-def _conv2d_np(x, w, b):
+def conv2d(x, w, b):
     h, wd, _ = x.shape
     out = np.tile(b, (h - 1, wd - 1, 1))
     for di in range(2):
@@ -166,25 +85,7 @@ def _conv2d_np(x, w, b):
     return out
 
 
-@njit
-def _conv2d_jit(x, w, b):
-    h, wd, c = x.shape
-    f = w.shape[3]
-    out = np.empty((h - 1, wd - 1, f))
-    for i in range(h - 1):
-        for j in range(wd - 1):
-            for q in range(f):
-                out[i, j, q] = b[q]
-            for di in range(2):
-                for dj in range(2):
-                    for ch in range(c):
-                        v = x[i + di, j + dj, ch]
-                        for q in range(f):  # contiguous in w and out
-                            out[i, j, q] += v * w[di, dj, ch, q]
-    return out
-
-
-def _conv2d_backward_np(x, w, dout):
+def conv2d_backward(x, w, dout):
     h, wd, _ = x.shape
     db = dout.sum(axis=(0, 1))
     dw = np.zeros_like(w)
@@ -197,35 +98,11 @@ def _conv2d_backward_np(x, w, dout):
     return dx, dw, db
 
 
-@njit
-def _conv2d_backward_jit(x, w, dout):
-    h, wd, c = x.shape
-    f = w.shape[3]
-    db = np.zeros(f)
-    dw = np.zeros_like(w)
-    dx = np.zeros_like(x)
-    for i in range(h - 1):
-        for j in range(wd - 1):
-            for q in range(f):
-                db[q] += dout[i, j, q]
-            for di in range(2):
-                for dj in range(2):
-                    for ch in range(c):
-                        xv = x[i + di, j + dj, ch]
-                        acc = 0.0
-                        for q in range(f):  # contiguous in w, dw, dout
-                            g = dout[i, j, q]
-                            dw[di, dj, ch, q] += xv * g
-                            acc += w[di, dj, ch, q] * g
-                        dx[i + di, j + dj, ch] += acc
-    return dx, dw, db
-
-
 # ---------------------------------------------------------------------------
 # 2x1 max pool along the time axis, stride 2, floor on odd lengths
 
 
-def _maxpool2_np(x):
+def maxpool2(x):
     h2 = x.shape[0] // 2
     xr = x[: 2 * h2].reshape(h2, 2, x.shape[1], x.shape[2])
     arg = xr.argmax(axis=1)
@@ -233,71 +110,8 @@ def _maxpool2_np(x):
     return out, arg.astype(np.int64)
 
 
-@njit
-def _maxpool2_jit(x):
-    h, wd, c = x.shape
-    h2 = h // 2
-    out = np.empty((h2, wd, c))
-    arg = np.empty((h2, wd, c), np.int64)
-    for i in range(h2):
-        for j in range(wd):
-            for ch in range(c):
-                a = x[2 * i, j, ch]
-                b = x[2 * i + 1, j, ch]
-                if b > a:
-                    out[i, j, ch] = b
-                    arg[i, j, ch] = 1
-                else:
-                    out[i, j, ch] = a
-                    arg[i, j, ch] = 0
-    return out, arg
-
-
-def _maxpool2_backward_np(dout, arg, h):
+def maxpool2_backward(dout, arg, h):
     dx = np.zeros((h,) + dout.shape[1:])
     dxr = dx[: 2 * (h // 2)].reshape(h // 2, 2, dout.shape[1], dout.shape[2])
     np.put_along_axis(dxr, arg[:, None], dout[:, None], axis=1)
     return dx
-
-
-@njit
-def _maxpool2_backward_jit(dout, arg, h):
-    h2, wd, c = dout.shape
-    dx = np.zeros((h, wd, c))
-    for i in range(h2):
-        for j in range(wd):
-            for ch in range(c):
-                dx[2 * i + arg[i, j, ch], j, ch] = dout[i, j, ch]
-    return dx
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-VARIANTS = {
-    "jit": {
-        "moving_average": _moving_average_jit,
-        "poi_scan": _poi_scan_jit,
-        "conv2d": _conv2d_jit,
-        "conv2d_backward": _conv2d_backward_jit,
-        "maxpool2": _maxpool2_jit,
-        "maxpool2_backward": _maxpool2_backward_jit,
-    },
-    "numpy": {
-        "moving_average": _moving_average_np,
-        "poi_scan": _poi_scan_np,
-        "conv2d": _conv2d_np,
-        "conv2d_backward": _conv2d_backward_np,
-        "maxpool2": _maxpool2_np,
-        "maxpool2_backward": _maxpool2_backward_np,
-    },
-}
-
-ACTIVE = "jit" if _accel.USING_NUMBA else "numpy"
-
-moving_average = VARIANTS[ACTIVE]["moving_average"]
-poi_scan = VARIANTS[ACTIVE]["poi_scan"]
-conv2d = VARIANTS[ACTIVE]["conv2d"]
-conv2d_backward = VARIANTS[ACTIVE]["conv2d_backward"]
-maxpool2 = VARIANTS[ACTIVE]["maxpool2"]
-maxpool2_backward = VARIANTS[ACTIVE]["maxpool2_backward"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classifier as _classifier
+from .errors import InsufficientData
 from .signal_core import AccelSeries, DetectorConfig, detect_pois, extract_window, smooth
 
 
@@ -47,6 +48,11 @@ def match_gestures(detected, annotations, tolerance: float = 4.0) -> Metrics:
     return Metrics(tp, len(detected) - tp, len(annotations) - tp)
 
 
+def _require_samples(series: AccelSeries):
+    if len(series) == 0:
+        raise InsufficientData("the trace holds no samples")
+
+
 @dataclass(frozen=True)
 class PoiRateReport:
     pois_per_minute: float
@@ -64,8 +70,7 @@ class PoiRateReport:
 
 def poi_rate(series: AccelSeries, cfg: DetectorConfig) -> PoiRateReport:
     """PoIs per minute on the raw series (smoothing applied here)."""
-    if len(series) == 0:
-        raise ValueError("series must be non-empty")
+    _require_samples(series)
     pois = detect_pois(smooth(series, cfg.smooth_len), cfg)
     return PoiRateReport(len(pois) / (series.duration / 60.0))
 
@@ -115,6 +120,7 @@ def threshold_sweep(
     """Full cross product of thresholds; one row per (x_th, v_th)."""
     if not x_th_list or not v_th_list:
         raise ValueError("threshold lists must be non-empty")
+    _require_samples(series)
     minutes = series.duration / 60.0
     rows = []
     for x_th in x_th_list:

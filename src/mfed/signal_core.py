@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +22,6 @@ from . import kernels
 from .errors import ConfigError, WindowOutOfBounds
 
 MAX_JITTER_FACTOR = 1.5
-
-
-class AccelSample(NamedTuple):
-    t: float
-    ax: float
-    ay: float
-    az: float
 
 
 class Label(Enum):
@@ -71,17 +63,6 @@ class AccelSeries:
     def duration(self) -> float:
         """Nominal duration in seconds (sample count over rate)."""
         return len(self) / self.rate
-
-    def sample(self, i: int) -> AccelSample:
-        return AccelSample(float(self.t[i]), *map(float, self.xyz[i]))
-
-    @classmethod
-    def from_samples(cls, rate: float, samples) -> "AccelSeries":
-        rows = [(s[0], s[1], s[2], s[3]) for s in samples]
-        if not rows:
-            return cls(rate, np.empty(0), np.empty((0, 3)))
-        arr = np.asarray(rows, dtype=np.float64)
-        return cls(rate, arr[:, 0], arr[:, 1:])
 
     def slice_time(self, t0: float, t1: float = math.inf) -> "AccelSeries":
         """Samples with t0 <= t < t1 (half-open, so adjacent slices partition)."""
@@ -132,7 +113,6 @@ class GestureWindow:
 
     poi: Poi
     samples: np.ndarray  # (n, 3)
-    label: Label | None = None
 
 
 def window_extent(window_len: float, rate: float) -> tuple[int, int, int]:
@@ -194,12 +174,9 @@ def detect_pois(series: AccelSeries, cfg: DetectorConfig) -> list[Poi]:
     _, left, right = window_extent(cfg.window_len, series.rate)
     pois: list[Poi] = []
     for lo, hi in split_segments(series):
-        t_seg = series.t[lo:hi]
-        xyz_seg = series.xyz[lo:hi]
         idx, var = kernels.poi_scan(
-            t_seg,
-            np.ascontiguousarray(xyz_seg[:, 0]),
-            xyz_seg,
+            series.t[lo:hi],
+            series.xyz[lo:hi],
             cfg.x_th,
             cfg.v_th,
             cfg.peak_min_gap,

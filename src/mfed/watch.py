@@ -53,7 +53,6 @@ class DutyCycleConfig:
 class WatchState:
     participant_id: str
     series: AccelSeries | None = None  # trace backing upload payloads
-    max_buffer_s: float | None = None  # oldest-first eviction; None = unlimited
     poi_times: list[float] = field(default_factory=list)
     buffer_start: float = 0.0
     last_upload_t: float | None = None
@@ -115,8 +114,6 @@ def _battery_at(state: WatchState, t: float) -> float:
 
 def _make_upload(state: WatchState, now: float) -> Upload:
     start = state.buffer_start
-    if state.max_buffer_s is not None:  # capped ring buffer: oldest samples evicted
-        start = max(start, now - state.max_buffer_s)
     accel = state.series.slice_time(start, now) if state.series is not None else None
     payload = UploadPayload(
         state.participant_id,

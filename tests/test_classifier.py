@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from mfed import classifier as C
+from mfed import kernels
 from mfed.errors import FormatError, InsufficientData, ShapeError
 from mfed.signal_core import GestureWindow, Label, Poi
 
@@ -54,7 +55,7 @@ class TestConv:
         rng = np.random.default_rng(0)
         w = rng.normal(size=(2, 2, 1, 4))
         b = rng.normal(size=4)
-        out = C.conv2d_valid(np.zeros((5, 3, 1)), w, b)
+        out = kernels.conv2d(np.zeros((5, 3, 1)), w, b)
         assert np.allclose(out, np.broadcast_to(b, (4, 2, 4)))
 
     def test_matches_bruteforce(self):
@@ -62,17 +63,41 @@ class TestConv:
         x = rng.normal(size=(4, 3, 1))
         w = rng.normal(size=(2, 2, 1, 1))
         b = rng.normal(size=1)
-        assert np.allclose(C.conv2d_valid(x, w, b), oracles.conv2d_oracle(x, w, b), atol=1e-9)
+        assert np.allclose(kernels.conv2d(x, w, b), oracles.conv2d_oracle(x, w, b), atol=1e-9)
 
     def test_output_shape_at_full_width(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(150, 3, 1))
         w = rng.normal(size=(2, 2, 1, 32))
-        assert C.conv2d_valid(x, w, np.zeros(32)).shape == (149, 2, 32)
+        assert kernels.conv2d(x, w, np.zeros(32)).shape == (149, 2, 32)
 
-    def test_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            C.conv2d_valid(np.zeros((5, 3, 2)), np.zeros((2, 2, 1, 4)), np.zeros(4))
+
+class TestMaxPool:
+    def test_ties_break_toward_earlier_row(self):
+        rng = np.random.default_rng(3)
+        n_ties = 0
+        for h in range(2, 22):
+            x = rng.integers(-3, 4, size=(h, 2, 5)).astype(float)  # integer grid forces ties
+            out, arg = kernels.maxpool2(x)
+            top, bottom = x[0 : 2 * (h // 2) : 2], x[1 : 2 * (h // 2) : 2]
+            ties = top == bottom
+            n_ties += ties.sum()
+            assert np.all(arg[ties] == 0)
+            assert np.all(arg[bottom > top] == 1)
+            assert np.array_equal(out, np.maximum(top, bottom))
+        assert n_ties > 0
+
+    def test_backward_routes_to_winning_row(self):
+        rng = np.random.default_rng(4)
+        for h in range(2, 22):
+            x = rng.integers(-3, 4, size=(h, 2, 5)).astype(float)
+            out, arg = kernels.maxpool2(x)
+            dout = rng.normal(size=out.shape)
+            dx = kernels.maxpool2_backward(dout, arg, h)
+            expected = np.zeros_like(x)
+            for i, j, c in np.ndindex(*out.shape):
+                expected[2 * i + arg[i, j, c], j, c] = dout[i, j, c]
+            assert np.array_equal(dx, expected)
 
 
 class TestForward:

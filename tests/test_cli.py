@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mfed
 import synth
 from mfed.cli import main
 
@@ -107,6 +111,35 @@ class TestSweepAndRate:
         out = capsys.readouterr().out
         assert "pois_per_minute" in out
         assert "ratio_vs_sliding_3s" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["poi-rate"], 2),
+        (["sweep"], 2),
+        (["sweep", "--xth="], 1),
+    ],
+    ids=["poi-rate", "sweep", "sweep-empty-xth"],
+)
+def test_empty_data_exits_without_traceback(tmp_path, argv, code):
+    trace = tmp_path / "empty.csv"
+    trace.write_text("t_ms,ax,ay,az\n")
+    ann = tmp_path / "ann.csv"
+    ann.write_text("t_ms\n")
+    args = argv[:1] + ["--trace", str(trace), "--rate", "25"] + argv[1:]
+    if argv[0] == "sweep":
+        args += ["--annotations", str(ann)]
+    src = os.path.dirname(os.path.dirname(mfed.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfed.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert ("usage" in proc.stderr) == (code == 1)
 
 
 class TestTrainCommand:

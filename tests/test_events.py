@@ -9,7 +9,6 @@ from mfed.events import (
     EventDetected,
     EventFinalized,
     StreamDetector,
-    cluster_gestures,
     detect_events,
 )
 
@@ -22,18 +21,19 @@ def as_tuples(events):
 
 class TestClusterGestures:
     def test_empty(self):
-        assert cluster_gestures([]) == []
+        assert detect_events([]) == []
 
     def test_minute_gap_splits(self):
-        times = [m * MIN for m in (0, 0.5, 1.2, 5.5, 5.8, 6.1)]
-        clusters = cluster_gestures(times)
-        assert [c.times for c in clusters] == [tuple(times[:3]), tuple(times[3:])]
+        # 60.5 s between the third and fourth gesture splits the clusters;
+        # the merge gap then joins both into one event
+        times = [0.0, 30.0, 72.0, 132.5, 150.0, 168.0]
+        assert as_tuples(detect_events(times)) == [(tuple(times[:3]), tuple(times[3:]))]
 
     def test_exact_gap_is_inclusive(self):
-        times = [0.0, 60.0, 120.0]
-        clusters = cluster_gestures(times)
-        assert len(clusters) == 1
-        assert clusters[0].start == 0.0 and clusters[0].end == 120.0
+        # were the 60 s gap exclusive, three singleton clusters would be dropped
+        events = detect_events([0.0, 60.0, 120.0])
+        assert as_tuples(events) == [((0.0, 60.0, 120.0),)]
+        assert events[0].start == 0.0 and events[0].end == 120.0
 
 
 class TestDetectEvents:

@@ -191,11 +191,3 @@ class TestPayloadConservation:
         assert final is not None
         assert len(final.payload.accel) == 250
         assert final.payload.span[1] == math.inf
-
-    def test_capped_buffer_evicts_oldest(self):
-        state = WatchState("p1", series=series(duration=600.0), max_buffer_s=60.0)
-        for t in (200.0, 210.0, 220.0, 230.0):
-            result = on_poi(state, t, POLICY, t)
-        accel = result.payload.accel
-        assert accel.t[0] == pytest.approx(170.0)  # 230 - 60
-        assert accel.t[-1] < 230.0
