@@ -19,18 +19,31 @@ from .metrics import detect_gesture_times, match_gestures, poi_rate, threshold_s
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser  # the (sub)command parser whose usage applies
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(self, message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # each subcommand's parser rejects the arguments it does not know,
+        # so the usage printed is that subcommand's
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, []
 
 
 def _float_list(text: str) -> list[float]:
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise argparse.ArgumentTypeError("expected at least one comma-separated number")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     return values
 
 
@@ -212,7 +225,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        e.parser.print_usage(sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)

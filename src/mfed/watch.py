@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 from .errors import ClockRegression, ConfigError
 from .signal_core import AccelSeries
 
+BATTERY_START_PERCENT = 100.0
+BATTERY_DRAIN_PER_HOUR = 1.5  # percentage points
+
 
 @dataclass(frozen=True)
 class UploadPolicy:
@@ -59,8 +62,6 @@ class WatchState:
     pending_quorum: bool = False
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
     pending_battery: list[tuple[float, float]] = field(default_factory=list)
-    battery_start_percent: float = 100.0
-    battery_drain_per_hour: float = 1.5
     last_now: float = -math.inf
     _next_scan: int = 0  # next beacon interval index to open
     _open_scan_stop: float | None = None
@@ -106,10 +107,6 @@ def _check_clock(state: WatchState, now: float):
 def record_beacon_reading(state: WatchState, t: float, beacon_id: str, rssi_dbm: float):
     """Store one opportunistic beacon reading for the next upload."""
     state.pending_beacons.append((t, beacon_id, rssi_dbm))
-
-
-def _battery_at(state: WatchState, t: float) -> float:
-    return max(0.0, state.battery_start_percent - state.battery_drain_per_hour * t / 3600.0)
 
 
 def _make_upload(state: WatchState, now: float) -> Upload:
@@ -182,7 +179,7 @@ def on_tick(
             state._next_scan += 1
         while state._next_battery * duty.battery_interval <= now:
             t = state._next_battery * duty.battery_interval
-            pct = _battery_at(state, t)
+            pct = max(0.0, BATTERY_START_PERCENT - BATTERY_DRAIN_PER_HOUR * t / 3600.0)
             actions.append(BatterySample(t, pct))
             state.pending_battery.append((t, pct))
             state._next_battery += 1

@@ -63,6 +63,24 @@ class TestUsage:
         assert main(["detect", "--bogus", "x"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["sweep", "--trace", "t.csv", "--annotations", "a.csv", "--vth=abc"],
+                "expected comma-separated numbers, got 'abc'",
+            ),
+            (["detect", "--trace", "t.csv", "--bogus", "x"], "unrecognized arguments: --bogus x"),
+        ],
+        ids=["bad-number-list", "unknown-flag"],
+    )
+    def test_flag_error_prints_subcommand_usage(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"usage: mfed {argv[0]}" in err
+        assert "_float_list" not in err
+
     def test_no_command(self, capsys):
         assert main([]) == 1
 
@@ -205,3 +223,49 @@ class TestSimulate:
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "section,typo",
+        [
+            (None, None),
+            ("home", "polcy"),
+            ("participant", "roel"),
+            ("responder", "respone_prob"),
+            ("detector", "xth"),
+            ("policy", "quorom"),
+            ("duty", "beacon_intrval"),
+            ("beacon", "distance"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, section, typo):
+        trace = tmp_path / "t.csv"
+        synth.write_trace_csv(str(trace), synth.noise_trace(np.random.default_rng(0), 60.0))
+        participant = {"id": "p1", "trace": str(trace), "responder": {"response_prob": 0.5}}
+        config = {
+            "home_id": "h1",
+            "participants": [participant],
+            "detector": {"x_th": -2.0},
+            "policy": {"quorum": 3},
+            "duty": {"beacon_interval": 60.0},
+            "beacons": [{"id": "kitchen"}],
+        }
+        sections = {
+            "home": config,
+            "participant": participant,
+            "responder": participant["responder"],
+            "detector": config["detector"],
+            "policy": config["policy"],
+            "duty": config["duty"],
+            "beacon": config["beacons"][0],
+        }
+        if section is not None:
+            sections[section][typo] = 1
+        cfg_path = tmp_path / "home.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "log.jsonl")])
+        err = capsys.readouterr().err
+        if section is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert typo in err

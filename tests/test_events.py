@@ -148,6 +148,16 @@ class TestStreamDetector:
             batch = detect_events(times)
             assert [tuple(c.times for c in ev.clusters) for ev in finalized] == as_tuples(batch)
 
+    def test_merge_gap_boundary_on_millisecond_times(self):
+        # 244.116 - 4.116 == 240.0, but 4.116 + 240.0 < 244.116 in floating
+        # point: the stream must round the merge gap as the batch rule does
+        times = [0.0, 2.0, 4.116, 244.116, 246.0, 248.0]
+        out = drive_stream(times)
+        assert sum(isinstance(e, EventDetected) for e in out) == 1
+        finalized = [e.event for e in out if isinstance(e, EventFinalized)]
+        assert finalized == detect_events(times)
+        assert len(finalized) == 1 and len(finalized[0].clusters) == 2
+
     def test_finish_flushes_open_event(self):
         det = StreamDetector("p")
         for t in (0.0, 20.0, 40.0):
@@ -166,3 +176,25 @@ class TestStreamDetector:
                 assert all(c.size >= 3 for c in ev.clusters)
             for a, b in zip(events, events[1:]):
                 assert b.start - a.end > 240.0  # separate events never overlap
+
+
+@given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 240)), max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_late_delivery_agrees_with_batch(steps):
+    # each gesture is observed at some non-decreasing now >= its own time,
+    # with no advance calls before finish
+    det = StreamDetector("p")
+    times, out, t, now = [], [], 0.0, 0.0
+    for gap, delay in steps:
+        t += 5.0 * gap
+        now = max(now, t + 5.0 * delay)
+        times.append(t)
+        out.extend(det.observe(t, now))
+    out.extend(det.finish(now))
+    detected = [e.event for e in out if isinstance(e, EventDetected)]
+    finalized = [e.event for e in out if isinstance(e, EventFinalized)]
+    assert finalized == detect_events(times, "p")
+    # one announcement per event, made when its first cluster reached 3 gestures
+    assert [ev.gesture_times for ev in detected] == [
+        ev.clusters[0].times[:3] for ev in finalized
+    ]
