@@ -269,7 +269,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     batch_size: int = 16
     seed: int = 0
-    decision_threshold: float = 0.5
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
@@ -278,10 +277,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.decision_threshold < 1:
-            raise ConfigError(
-                f"decision_threshold must be in (0, 1), got {self.decision_threshold}"
-            )
         return self
 
 

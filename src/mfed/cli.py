@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import logging
 import sys
 
@@ -96,7 +95,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run one home config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=int, help="override the config seed and MFED_SEED")
     p.add_argument("--out", help="JSONL log (default stdout)")
     p.add_argument("--gt-out", help="ground-truth CSV path")
     return parser
@@ -192,15 +191,12 @@ def _cmd_poi_rate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = sim.load_home_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = sim.with_run_seed(sim.load_home_config(args.config), args.seed)
     with _out_fh(args.out) as fh:
-        if args.gt_out:
-            with open(args.gt_out, "w", newline="") as gt_fh:
-                summary = sim.run_home_simulation(config, fh, gt_fh)
-        else:
-            summary = sim.run_home_simulation(config, fh)
+        summary = sim.HomeSimulation(config, fh).run()
+    if args.gt_out:
+        with open(args.gt_out, "w", newline="") as gt_fh:
+            traceio.write_ground_truth_csv(summary["ground_truth"], gt_fh)
     print(
         f"simulated home {config.home_id}: {summary['records']} records, "
         f"{summary['events']} eating events",

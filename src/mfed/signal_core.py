@@ -12,7 +12,6 @@ independently; candidate windows never straddle a dropout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -63,11 +62,6 @@ class AccelSeries:
     def duration(self) -> float:
         """Nominal duration in seconds (sample count over rate)."""
         return len(self) / self.rate
-
-    def slice_time(self, t0: float, t1: float = math.inf) -> "AccelSeries":
-        """Samples with t0 <= t < t1 (half-open, so adjacent slices partition)."""
-        lo, hi = np.searchsorted(self.t, [t0, t1], side="left")
-        return AccelSeries(self.rate, self.t[lo:hi], self.xyz[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -187,6 +181,27 @@ def detect_pois(series: AccelSeries, cfg: DetectorConfig) -> list[Poi]:
             g = lo + i
             pois.append(Poi(g, float(series.t[g]), float(series.xyz[g, 0]), v))
     return pois
+
+
+def decision_time(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> float:
+    """Time of the last raw sample that ``poi``'s detection and window read.
+
+    That is the later of the window's last row and the row after the last
+    row closer than ``peak_min_gap`` to the peak (a lower peak there would
+    suppress ``poi``, and a peak shows once its next row is in), plus the
+    smoothing half-width, kept inside the PoI's segment. Smoothing the
+    samples up to it gives the PoI's window bit for bit, since the moving
+    average is a sequential cumsum per segment.
+    """
+    _, _, right = window_extent(cfg.window_len, series.rate)
+    half = smooth_width(cfg.smooth_len, series.rate) // 2
+    t, i = series.t, poi.index
+    # the scan's own comparison picks the close rows; +1 row covers rounding
+    stop = int(np.searchsorted(t, t[i] + cfg.peak_min_gap, side="right")) + 1
+    close = i + int(np.flatnonzero(t[i:stop] - t[i] < cfg.peak_min_gap)[-1])
+    last = min(max(i + right, close + 1) + half, len(t) - 1)
+    gaps = np.flatnonzero(np.diff(t[i : last + 1]) > MAX_JITTER_FACTOR / series.rate)
+    return float(t[i + int(gaps[0]) if gaps.size else last])
 
 
 def extract_window(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> GestureWindow:

@@ -1,12 +1,12 @@
 """Deterministic multi-home simulator on a virtual clock.
 
 One home runs as a single-threaded discrete-event loop: watch nodes replay
-their traces, detect PoIs, and upload on quorum; the base station releases
-PoIs as their windows arrive, classifies them, clusters gestures into
-events, and schedules EMAs; seeded responder agents answer the surveys;
-ground truth is resolved at the end of the run. Identical (config, seed)
-pairs produce byte-identical JSONL logs. The ``MFED_SEED`` environment
-variable overrides the config seed.
+their traces, count each PoI at its decision time, and upload on quorum
+(see ``watch``); the base station classifies exactly the PoIs each upload
+names, clusters gestures into events, and schedules EMAs; seeded responder
+agents answer the surveys; ground truth is resolved at the end of the run.
+Nothing past the end of the run is counted or shipped. Identical (config,
+seed) pairs produce byte-identical JSONL logs.
 
 Everything is logged as one JSONL record per occurrence, ordered by
 emission time; beacon and battery records ride with the upload that
@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import classifier, ema, events, traceio, watch
-from .errors import ConfigError
-from .signal_core import AccelSeries, DetectorConfig, detect_pois, extract_window, smooth, window_extent
+from .errors import ConfigError, InvalidAnswer
+from .signal_core import AccelSeries, DetectorConfig, decision_time, detect_pois, extract_window, smooth
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,12 @@ class ResponderProfile:
             raise ConfigError(f"response_prob must be in [0, 1], got {self.response_prob}")
         if self.delay_mean_s <= 0:
             raise ConfigError(f"delay_mean_s must be positive, got {self.delay_mean_s}")
+        try:
+            ema.validate_who_with(frozenset(self.who_with))
+        except InvalidAnswer as e:
+            raise ConfigError(f"responder who_with: {e}") from e
+        if self.eating_type not in ema.EATING_TYPES:
+            raise ConfigError(f"eating_type must be one of {ema.EATING_TYPES}, got {self.eating_type!r}")
         return self
 
 
@@ -178,37 +184,32 @@ class _Node:
             self.annotations = []
         self.smoothed = smooth(self.series, cfg.detector.smooth_len)
         self.pois = detect_pois(self.smoothed, cfg.detector)
+        self.poi_at = {poi.t: poi for poi in self.pois}  # upload payloads name PoIs by time
         self.watch = watch.WatchState(pid, series=self.series)
         self.stream = events.StreamDetector(pid)
         self.schedule = ema.ScheduleState()
-        self.released = 0  # PoIs handed to the base station so far
-        self.received = 0.0  # upload coverage, trace seconds
         self.finalized: list[events.EatingEvent] = []
         self.responses: list[ema.EmaResponse] = []
         self.survey_seq = itertools.count(1)
 
 
 class HomeSimulation:
+    """One home on the virtual clock, seeded with ``config.seed`` as given."""
+
     def __init__(self, config: HomeConfig, log_fh):
         self.cfg = config.validate()
-        try:
-            seed = int(os.environ.get("MFED_SEED", config.seed))
-        except ValueError as e:
-            raise ConfigError(f"MFED_SEED must be an integer: {e}") from e
         self.log_fh = log_fh
         self.clock = ema.LocalClock(config.start_hour)
         self.weights = classifier.load_weights(config.weights) if config.weights else None
         self.nodes = [
-            _Node(spec, config, np.random.default_rng([seed, i]))
+            _Node(spec, config, np.random.default_rng([config.seed, i]))
             for i, spec in enumerate(config.participants)
         ]
         self.duration = config.duration or max(n.series.duration for n in self.nodes)
-        _, _, self.win_right = window_extent(config.detector.window_len, config.rate)
         self.heap: list[tuple[float, int, str, int, object]] = []
         self.seq = itertools.count()
         self.records = 0
         self.event_count = 0
-        self.gt_records: list[ema.GroundTruthRecord] = []
 
     # -- plumbing ----------------------------------------------------------
 
@@ -228,7 +229,7 @@ class HomeSimulation:
         elif node.watch.pending_quorum and node.watch.last_upload_t is not None:
             self._push(node.watch.last_upload_t + self.cfg.policy.min_upload_gap, "tick", self.nodes.index(node))
 
-    def _handle_tick(self, t: float, node: _Node):
+    def _handle_tick(self, t: float, node: _Node, _):
         for action in watch.on_tick(node.watch, t, self.cfg.policy, self.cfg.duty):
             if isinstance(action, watch.Upload):
                 self._handle_upload(t, node, action)
@@ -244,14 +245,13 @@ class HomeSimulation:
     def _handle_upload(self, t: float, node: _Node, upload: watch.Upload):
         payload = upload.payload
         pid = node.spec.participant.id
-        span_end = min(payload.span[1], self.duration)
         self._log(
             {
                 "kind": "upload",
                 "t_ms": _ms(t),
                 "participant": pid,
                 "span_start_ms": _ms(payload.span[0]),
-                "span_end_ms": _ms(span_end),
+                "span_end_ms": _ms(payload.span[1]),
                 "samples": len(payload.accel) if payload.accel is not None else 0,
             }
         )
@@ -269,18 +269,10 @@ class HomeSimulation:
             self._log(
                 {"kind": "battery", "t_ms": _ms(bt), "participant": pid, "percent": round(pct, 3)}
             )
-        node.received = payload.span[1]
-        self._release_pois(t, node)
-
-    def _release_pois(self, t: float, node: _Node):
-        """Classify PoIs whose full window has reached the base station."""
-        covered = np.searchsorted(node.series.t, node.received, side="left")
-        while node.released < len(node.pois):
-            poi = node.pois[node.released]
-            if poi.index + self.win_right >= covered:
-                break
-            node.released += 1
+        for poi_t in payload.pois:
+            poi = node.poi_at[poi_t]
             if self.weights is not None:
+                # equals the smoothing of the samples shipped so far (decision_time)
                 window = extract_window(node.smoothed, poi, self.cfg.detector)
                 prob = classifier.forward(self.weights, window)
                 if prob < self.cfg.decision_threshold:
@@ -352,11 +344,11 @@ class HomeSimulation:
                 }
             )
 
-    def _handle_stream_check(self, t: float, node: _Node):
+    def _handle_stream_check(self, t: float, node: _Node, _):
         for emission in node.stream.advance(t):
             self._handle_emission(t, node, emission)
 
-    def _handle_hour(self, t: float, node: _Node):
+    def _handle_hour(self, t: float, node: _Node, _):
         outcome = ema.hourly_tick(node.spec.participant, t, node.schedule, self.clock)
         if isinstance(outcome, ema.SendMoodEma):
             pid = node.spec.participant.id
@@ -465,8 +457,9 @@ class HomeSimulation:
         end = self.duration
         for idx, node in enumerate(self.nodes):
             for poi in node.pois:
-                if poi.t <= end:
-                    self._push(poi.t, "poi", idx, poi)
+                decided = decision_time(node.series, poi, self.cfg.detector)
+                if decided <= end:
+                    self._push(decided, "poi", idx, poi)
             if self.cfg.duty is not None:
                 k = 0
                 while k * self.cfg.duty.beacon_interval <= end:
@@ -480,20 +473,11 @@ class HomeSimulation:
                 self._push(t, "hour", idx)
                 t += 3600.0
 
-        handlers = {
-            "poi": lambda t, n, p: self._handle_poi(t, n, p),
-            "tick": lambda t, n, p: self._handle_tick(t, n),
-            "hour": lambda t, n, p: self._handle_hour(t, n),
-            "stream_check": lambda t, n, p: self._handle_stream_check(t, n),
-            "ema_send": lambda t, n, p: self._handle_ema_send(t, n, p),
-            "ema_answer": lambda t, n, p: self._handle_ema_answer(t, n, p),
-            "ema_expire": lambda t, n, p: self._handle_ema_expire(t, n, p),
-        }
         while self.heap:
             t, _, kind, idx, payload = heapq.heappop(self.heap)
             if t > end:
                 break
-            handlers[kind](t, self.nodes[idx], payload)
+            getattr(self, f"_handle_{kind}")(t, self.nodes[idx], payload)
 
         for node in self.nodes:
             final = watch.flush(node.watch, end)
@@ -502,21 +486,20 @@ class HomeSimulation:
             for emission in node.stream.finish(end):
                 self._handle_emission(end, node, emission)
 
-        self._resolve_ground_truth(end)
+        ground_truth = self._resolve_ground_truth(end)
         return {
             "records": self.records,
             "events": sum(len(n.finalized) for n in self.nodes),
-            "ground_truth": list(self.gt_records),
+            "ground_truth": ground_truth,
         }
 
-    def _resolve_ground_truth(self, end: float):
+    def _resolve_ground_truth(self, end: float) -> list[ema.GroundTruthRecord]:
         roster = [n.spec.participant for n in self.nodes]
         responses = [r for n in self.nodes for r in n.responses]
         all_events = [ev for n in self.nodes for ev in n.finalized]
         records = ema.first_person_gt(responses)
         records += ema.resolve_collaborative_gt(responses, roster)
         records += ema.resolve_hourly_gt(responses, all_events)
-        self.gt_records = records
         for r in records:
             self._log(
                 {
@@ -531,13 +514,20 @@ class HomeSimulation:
                     "missed_detection": r.missed_detection,
                 }
             )
+        return records
 
 
-def run_home_simulation(config: HomeConfig, log_fh, gt_fh=None) -> dict:
-    """Run one home to completion, writing JSONL to log_fh (and optionally
-    the ground-truth CSV to gt_fh). Returns a summary dict."""
-    sim = HomeSimulation(config, log_fh)
-    summary = sim.run()
-    if gt_fh is not None:
-        traceio.write_ground_truth_csv(sim.gt_records, gt_fh)
-    return summary
+def with_run_seed(config: HomeConfig, flag: int | None) -> HomeConfig:
+    """``config`` with the seed of the run: ``flag`` (``mfed simulate
+    --seed``) beats ``MFED_SEED``, which beats the config seed."""
+    seed = flag if flag is not None else os.environ.get("MFED_SEED", config.seed)
+    try:
+        return replace(config, seed=int(seed))
+    except ValueError as e:
+        raise ConfigError(f"MFED_SEED must be an integer: {e}") from e
+
+
+def run_home_simulation(config: HomeConfig, log_fh) -> dict:
+    """Run one home to completion, writing JSONL to log_fh. Returns a summary
+    dict. ``MFED_SEED`` overrides the config seed."""
+    return HomeSimulation(with_run_seed(config, None), log_fh).run()

@@ -1,10 +1,12 @@
 """Watch-side node: upload quorum, cooldown, and duty-cycled sensors.
 
-The watch buffers every sample since its last upload. When ``quorum``
-PoIs land inside a sliding ``quorum_window`` it uploads immediately,
-unless the previous upload was under ``min_upload_gap`` ago, in which case
-the upload is marked pending and fires from ``on_tick`` at cooldown
-expiry. PoIs are consumed by the upload that ships them.
+The watch counts a PoI at its decision time (``signal_core.decision_time``).
+When ``quorum`` PoIs land inside a sliding ``quorum_window`` it uploads
+immediately, unless the previous upload was under ``min_upload_gap`` ago,
+in which case the upload is marked pending and fires from ``on_tick`` at
+cooldown expiry. Each upload, like the final ``flush``, ships the samples
+taken after the previous upload up to and including its own time, and
+names every PoI counted since the previous upload.
 
 Beacon scans occupy ``[k*interval, k*interval + scan_len)`` and the battery
 percentage is recorded once per interval. Both record kinds ride along
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ClockRegression, ConfigError
 from .signal_core import AccelSeries
@@ -56,8 +60,8 @@ class DutyCycleConfig:
 class WatchState:
     participant_id: str
     series: AccelSeries | None = None  # trace backing upload payloads
-    poi_times: list[float] = field(default_factory=list)
-    buffer_start: float = 0.0
+    poi_times: list[float] = field(default_factory=list)  # inside the quorum window
+    unsent_pois: list[float] = field(default_factory=list)  # counted since the last upload
     last_upload_t: float | None = None
     pending_quorum: bool = False
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
@@ -71,7 +75,8 @@ class WatchState:
 @dataclass(frozen=True)
 class UploadPayload:
     participant_id: str
-    span: tuple[float, float]  # [start, end) in trace seconds
+    span: tuple[float, float]  # (previous upload or 0, this upload] in trace seconds
+    pois: tuple[float, ...]  # peak times of the PoIs counted since the previous upload
     accel: AccelSeries | None
     beacon_readings: tuple[tuple[float, str, float], ...]
     battery_samples: tuple[tuple[float, float], ...]
@@ -109,20 +114,29 @@ def record_beacon_reading(state: WatchState, t: float, beacon_id: str, rssi_dbm:
     state.pending_beacons.append((t, beacon_id, rssi_dbm))
 
 
+def _unsent_samples(state: WatchState, now: float) -> AccelSeries | None:
+    """Samples taken after the last upload up to ``now``; None without a trace."""
+    if state.series is None:
+        return None
+    t = state.series.t
+    lo = 0 if state.last_upload_t is None else np.searchsorted(t, state.last_upload_t, side="right")
+    hi = np.searchsorted(t, now, side="right")
+    return AccelSeries(state.series.rate, t[lo:hi], state.series.xyz[lo:hi])
+
+
 def _make_upload(state: WatchState, now: float) -> Upload:
-    start = state.buffer_start
-    accel = state.series.slice_time(start, now) if state.series is not None else None
     payload = UploadPayload(
         state.participant_id,
-        (start, now),
-        accel,
+        (0.0 if state.last_upload_t is None else state.last_upload_t, now),
+        tuple(state.unsent_pois),
+        _unsent_samples(state, now),
         tuple(state.pending_beacons),
         tuple(state.pending_battery),
     )
-    state.buffer_start = now
     state.last_upload_t = now
     state.pending_quorum = False
     state.poi_times.clear()
+    state.unsent_pois.clear()
     state.pending_beacons.clear()
     state.pending_battery.clear()
     return Upload(payload)
@@ -133,13 +147,15 @@ def _cooldown_over(state: WatchState, policy: UploadPolicy, now: float) -> bool:
 
 
 def on_poi(state: WatchState, poi_t: float, policy: UploadPolicy, now: float) -> Upload | None:
-    """Feed one PoI; returns an Upload when the quorum rule fires."""
+    """Count one PoI at ``now``, its decision time; returns an Upload when
+    the quorum rule fires."""
     policy.validate()
     if now < poi_t:
         raise ClockRegression(f"poi at {poi_t} is ahead of now={now}")
     _check_clock(state, now)
 
     state.poi_times.append(poi_t)
+    state.unsent_pois.append(poi_t)
     cutoff = poi_t - policy.quorum_window
     while state.poi_times and state.poi_times[0] < cutoff:
         state.poi_times.pop(0)
@@ -190,25 +206,11 @@ def on_tick(
 
 
 def flush(state: WatchState, now: float) -> Upload | None:
-    """Ship whatever remains in the buffer (end of trace)."""
+    """Ship what the watch holds at the end of a run: the samples up to
+    ``now``, the PoIs not yet shipped, and the pending records."""
     _check_clock(state, now)
-    remaining = (
-        state.series is not None and len(state.series.slice_time(state.buffer_start)) > 0
-    )
-    if not (remaining or state.pending_beacons or state.pending_battery or state.pending_quorum):
-        return None
-    start = state.buffer_start
-    accel = state.series.slice_time(start) if state.series is not None else None
-    payload = UploadPayload(
-        state.participant_id,
-        (start, math.inf),
-        accel,
-        tuple(state.pending_beacons),
-        tuple(state.pending_battery),
-    )
-    state.buffer_start = now
-    state.pending_quorum = False
-    state.poi_times.clear()
-    state.pending_beacons.clear()
-    state.pending_battery.clear()
-    return Upload(payload)
+    samples = _unsent_samples(state, now)
+    pending = state.unsent_pois or state.pending_beacons or state.pending_battery
+    if (samples is not None and len(samples)) or pending:
+        return _make_upload(state, now)
+    return None

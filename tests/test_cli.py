@@ -224,6 +224,17 @@ class TestSimulate:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == 2
 
+    def test_invalid_responder_answer_exits_2_before_logging(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        synth.write_trace_csv(str(trace), synth.noise_trace(np.random.default_rng(0), 60.0))
+        participant = {"id": "p1", "trace": str(trace), "responder": {"who_with": ["kids"]}}
+        cfg_path = tmp_path / "home.json"
+        cfg_path.write_text(json.dumps({"home_id": "h1", "participants": [participant]}))
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(log)]) == 2
+        assert "kids" in capsys.readouterr().err
+        assert not log.exists()
+
     @pytest.mark.parametrize(
         "section,typo",
         [

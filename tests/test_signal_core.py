@@ -203,9 +203,3 @@ class TestAccelSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigError):
             AccelSeries(25.0, np.array([0.0, 0.04]), np.array([[0, 0, np.inf], [0, 0, 0]]))
-
-    def test_slice_partition(self):
-        s = constant_series(n=100)
-        a, b = s.slice_time(0.0, 2.0), s.slice_time(2.0)
-        assert len(a) + len(b) == len(s)
-        assert np.array_equal(np.concatenate([a.t, b.t]), s.t)

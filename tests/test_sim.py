@@ -3,10 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synth
-from mfed import ema, sim
+from mfed import classifier, ema, sim, watch
+from mfed.cli import main as cli_main
 from mfed.errors import ConfigError
+from mfed.signal_core import (
+    AccelSeries, detect_pois, extract_window, smooth, smooth_width, window_extent,
+)
 
 
 def flat_spec(pid="p1", role=ema.Role.MOTHER, window=(8.0, 20.0), duration=86400.0, **resp):
@@ -78,6 +84,31 @@ class TestDeterminism:
         _, _, overridden = run_to_lines(self._config(seed=7))
         assert base != overridden
 
+    def test_seed_flag_beats_env(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        gestures = [60.0 + 20.0 * i for i in range(6)]
+        trace = tmp_path / "t.csv"
+        synth.write_trace_csv(str(trace), synth.gesture_trace(rng, gestures, duration=600.0))
+        ann = tmp_path / "a.csv"
+        synth.write_annotations_csv(str(ann), gestures)
+        cfg = tmp_path / "home.json"
+        cfg.write_text(json.dumps({
+            "home_id": "h1", "seed": 1, "start_hour": 11.8, "beacons": [{"id": "kitchen"}],
+            "participants": [{"id": "p1", "role": "mother", "trace": str(trace), "annotations": str(ann)}],
+        }))
+
+        def log(*flags):
+            out = tmp_path / "log.jsonl"
+            assert cli_main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            return out.read_text()
+
+        monkeypatch.delenv("MFED_SEED", raising=False)
+        seed_1, seed_3, seed_9 = log(), log("--seed", "3"), log("--seed", "9")
+        assert len({seed_1, seed_3, seed_9}) == 3
+        monkeypatch.setenv("MFED_SEED", "9")
+        assert log() == seed_9
+        assert log("--seed", "3") == seed_3
+
     def test_conservation_through_pipeline(self):
         _, lines, _ = run_to_lines(self._config())
         uploads = records_of(lines, "upload")
@@ -118,6 +149,123 @@ class TestDeterminism:
         gestures = records_of(lines, "gesture")
         assert gestures
         assert all("prob" in g and 0.0 < g["prob"] < 1.0 for g in gestures)
+
+
+def _run_recording(cfg, monkeypatch):
+    """Run a one-participant ``cfg`` accepting every window. Returns the log,
+    the upload payloads, and each classified window with the number of
+    uploads that had arrived when it was classified."""
+    uploads, classified = [], []
+
+    def recording(fn):
+        def wrapper(*args):
+            result = fn(*args)
+            items = result if isinstance(result, list) else [result]
+            uploads.extend(item.payload for item in items if isinstance(item, watch.Upload))
+            return result
+
+        return wrapper
+
+    def forward(weights, window):
+        classified.append((window, len(uploads)))
+        return 1.0
+
+    for name in ("on_poi", "on_tick", "flush"):
+        monkeypatch.setattr(watch, name, recording(getattr(watch, name)))
+    monkeypatch.setattr(classifier, "load_weights", lambda path: "weights")
+    monkeypatch.setattr(classifier, "forward", forward)
+    _, lines, _ = run_to_lines(cfg)
+    return lines, uploads, classified
+
+
+def _spaced_home(spacing, policy, count=10, dropout_after=None):
+    rng = np.random.default_rng(5)
+    gestures = [30.0 + spacing * i for i in range(count)]
+    series = synth.gesture_trace(rng, gestures, duration=gestures[-1] + 40.0)
+    if dropout_after is not None:  # a 5 s dropout right after one gesture's window
+        keep = (series.t < dropout_after) | (series.t >= dropout_after + 5.0)
+        series = AccelSeries(series.rate, series.t[keep], series.xyz[keep])
+    spec = sim.ParticipantSpec(
+        participant=ema.Participant("p1", "h1", ema.Role.MOTHER, (0.0, 24.0)), series=series
+    )
+    return sim.HomeConfig(
+        home_id="h1", participants=(spec,), policy=policy, weights="w.json", start_hour=11.8
+    )
+
+
+class TestUploadedData:
+    """The base station only reads what the watch has uploaded."""
+
+    @given(
+        quorum=st.integers(1, 5),
+        quorum_window=st.floats(5.0, 200.0),
+        min_upload_gap=st.floats(0.0, 90.0),
+        spacing=st.floats(2.5, 12.0),
+        dropout=st.none() | st.floats(0.0, 1.0),
+    )
+    @example(quorum=1, quorum_window=120.0, min_upload_gap=0.0, spacing=3.2, dropout=None)
+    @example(quorum=1, quorum_window=120.0, min_upload_gap=0.0, spacing=8.0, dropout=0.2)
+    @settings(max_examples=40, deadline=None)
+    def test_windows_equal_smoothing_of_uploaded_samples(
+        self, quorum, quorum_window, min_upload_gap, spacing, dropout
+    ):
+        policy = watch.UploadPolicy(quorum, quorum_window, min_upload_gap)
+        # the dropout starts up to 1 s after the 4th gesture's window ends
+        cut = None if dropout is None else 30.0 + 3 * spacing + 3.0 + dropout
+        cfg = _spaced_home(spacing, policy, dropout_after=cut)
+        with pytest.MonkeyPatch.context() as mp:
+            _, uploads, classified = _run_recording(cfg, mp)
+        assert classified
+        for window, arrived in classified:
+            shipped = [p.accel for p in uploads[:arrived]]
+            received = AccelSeries(
+                shipped[0].rate,
+                np.concatenate([a.t for a in shipped]),
+                np.concatenate([a.xyz for a in shipped]),
+            )
+            expected = extract_window(smooth(received, cfg.detector.smooth_len), window.poi, cfg.detector)
+            assert np.array_equal(window.samples, expected.samples)
+
+    def test_no_poi_ships_before_its_samples(self, monkeypatch):
+        # one upload per PoI, as early as the quorum rule allows
+        cfg = _spaced_home(3.2, watch.UploadPolicy(quorum=1, min_upload_gap=0.0), count=16)
+        lines, _, classified = _run_recording(cfg, monkeypatch)
+        detector = cfg.detector
+        series = cfg.participants[0].series
+        _, _, right = window_extent(detector.window_len, series.rate)
+        half = smooth_width(detector.smooth_len, series.rate) // 2
+        needed = {
+            round(p.t * 1000): series.t[p.index + right + half]
+            for p in detect_pois(smooth(series, detector.smooth_len), detector)
+        }
+        upload_t = None
+        gestures = 0
+        for r in lines:
+            if r["kind"] == "upload":
+                upload_t = r["t_ms"] / 1000.0
+            elif r["kind"] == "gesture":
+                gestures += 1
+                assert upload_t >= needed[r["t_ms"]]
+        assert gestures == len(classified) == 16
+
+    def test_duration_shorter_than_trace(self):
+        rng = np.random.default_rng(1)
+        gestures = [600.0 + 20.0 * i for i in range(6)] + [2400.0 + 20.0 * i for i in range(6)]
+        spec = sim.ParticipantSpec(
+            participant=ema.Participant("p1", "h1", ema.Role.MOTHER, (0.0, 24.0)),
+            series=synth.gesture_trace(rng, gestures, duration=3600.0),
+            annotation_times=tuple(gestures),
+        )
+        cfg = sim.HomeConfig(
+            home_id="h1", participants=(spec,), seed=7, start_hour=9.0, duration=2000.0
+        )
+        _, lines, _ = run_to_lines(cfg)
+        assert records_of(lines, "gesture")
+        for r in lines:
+            for key in ("t_ms", "span_end_ms", "end_ms"):
+                assert r.get(key, 0) <= 2_000_000, r
+        shipped = sum(r["samples"] for r in records_of(lines, "upload"))
+        assert shipped == 2000 * 25 + 1  # every sample up to and including t = 2000 s
 
 
 def shared_meal_home(meal_t=60.0, c_responds=False, b_who=("spouse_partner",), d_who=("mother", "brothers")):
@@ -201,6 +349,14 @@ class TestConfigValidation:
     def test_requires_participants(self):
         with pytest.raises(ConfigError):
             sim.HomeConfig(home_id="h", participants=()).validate()
+
+    @pytest.mark.parametrize(
+        "responder",
+        [{"who_with": ("kids",)}, {"who_with": ("nobody", "mother")}, {"eating_type": "brunch"}],
+    )
+    def test_responder_answers_must_be_valid(self, responder):
+        with pytest.raises(ConfigError):
+            sim.HomeConfig(home_id="h", participants=(flat_spec(**responder),)).validate()
 
     def test_load_home_config_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

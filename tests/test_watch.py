@@ -190,4 +190,4 @@ class TestPayloadConservation:
         final = flush(state, 10.0)
         assert final is not None
         assert len(final.payload.accel) == 250
-        assert final.payload.span[1] == math.inf
+        assert final.payload.span[1] == 10.0
