@@ -6,8 +6,9 @@ Each kernel exists once, written in numpy; ``signal_core`` and
 Conventions:
   - acceleration matrices are float64 ``(n, 3)`` arrays, channel order x/y/z
   - variance is the population variance, summed over the three channels
-  - max-pooling halves the time axis (pairs, stride 2, floor) and breaks
-    ties toward the earlier row, matching ``np.argmax``
+  - max-pooling halves the time axis (pairs, stride 2, floor); the later
+    row of a pair wins only when strictly greater, so ties keep the earlier
+    row, matching ``np.argmax`` on NaN-free input
 """
 from __future__ import annotations
 
@@ -104,14 +105,15 @@ def conv2d_backward(x, w, dout):
 
 def maxpool2(x):
     h2 = x.shape[0] // 2
-    xr = x[: 2 * h2].reshape(h2, 2, x.shape[1], x.shape[2])
-    arg = xr.argmax(axis=1)
-    out = np.take_along_axis(xr, arg[:, None], axis=1)[:, 0]
-    return out, arg.astype(np.int64)
+    top, bottom = x[0 : 2 * h2 : 2], x[1 : 2 * h2 : 2]
+    arg = bottom > top
+    return np.where(arg, bottom, top), arg.astype(np.int64)
 
 
 def maxpool2_backward(dout, arg, h):
     dx = np.zeros((h,) + dout.shape[1:])
-    dxr = dx[: 2 * (h // 2)].reshape(h // 2, 2, dout.shape[1], dout.shape[2])
-    np.put_along_axis(dxr, arg[:, None], dout[:, None], axis=1)
+    h2 = h // 2
+    won = arg == 1
+    dx[0 : 2 * h2 : 2] = np.where(won, 0.0, dout)
+    dx[1 : 2 * h2 : 2] = np.where(won, dout, 0.0)
     return dx

@@ -2,13 +2,26 @@
 
 Trace CSV: header ``t_ms,ax,ay,az``; integer milliseconds, decimal
 accelerations in m/s^2. Annotation CSV: header ``t_ms``, one mouth-contact
-instant per row. Timestamps must be strictly increasing in both; errors
-carry 1-based line numbers.
+instant per row (fields after the first are ignored). Timestamps must be
+strictly increasing in both and samples finite; errors carry 1-based line
+numbers.
+
+Both readers parse the body in bulk first: one ``np.loadtxt`` call, then
+vectorised monotonicity and finiteness checks. The bulk path only vouches
+for plain numeric text. Whenever it raises, warns (an empty body), meets a
+character outside ``_BULK_CHARS`` or a field the csv module would refuse,
+or fails a check, the line parser reads the file again. The line parser is
+the reference: it returns the same arrays the bulk path would, accepts
+what Python's ``csv``, ``int`` and ``float`` accept (quoted fields, ``1_0``,
+whitespace-only lines), and raises the line-numbered error.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+import warnings
 
 import numpy as np
 
@@ -17,34 +30,21 @@ from .signal_core import AccelSeries
 
 RATE_TOLERANCE = 0.25  # declared rate may differ from median spacing by 25%
 
+TRACE_HEADER = ("t_ms", "ax", "ay", "az")
+ANNOTATION_HEADER = ("t_ms",)
+
+# Digits, signs, decimal points, exponents, the delimiter, blanks and line
+# ends. On text made of these, np.loadtxt and Python's int()/float() agree
+# value for value; numpy also takes some characters Python rejects (the
+# ASCII separators \x1c-\x1f, a few non-ASCII letters), so any other
+# character sends the file to the line parser.
+_BULK_CHARS = b"0123456789+-.eE, \t\r\n"
+
 
 def load_trace(path: str, rate: float) -> AccelSeries:
     """Read a trace CSV and validate the declared sampling rate."""
-    t: list[float] = []
-    xyz: list[tuple[float, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_ms", "ax", "ay", "az"]:
-            raise ParseError(f"expected header t_ms,ax,ay,az, got {header}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-            try:
-                t_ms = int(row[0])
-                ax, ay, az = (float(v) for v in row[1:])
-            except ValueError as e:
-                raise ParseError(str(e), line=lineno) from e
-            ts = t_ms / 1000.0
-            if t and ts <= t[-1]:
-                raise NonMonotonicTimestamp(
-                    f"t_ms {t_ms} does not increase past {round(t[-1] * 1000)}", line=lineno
-                )
-            t.append(ts)
-            xyz.append((ax, ay, az))
-    series = AccelSeries(rate, np.asarray(t), np.asarray(xyz).reshape(len(xyz), 3))
+    t, xyz = _read_csv(path, TRACE_HEADER)
+    series = AccelSeries(rate, t, xyz)
     if len(series) >= 2:
         median_dt = float(np.median(np.diff(series.t)))
         if abs(median_dt - 1.0 / rate) > RATE_TOLERANCE / rate:
@@ -56,26 +56,100 @@ def load_trace(path: str, rate: float) -> AccelSeries:
 
 def load_annotations(path: str) -> list[float]:
     """Read annotation instants in seconds; an empty file is a valid non-eating trace."""
-    out: list[float] = []
+    t, _ = _read_csv(path, ANNOTATION_HEADER, extra_fields=True)
+    return t.tolist()
+
+
+def _read_csv(path: str, header: tuple[str, ...], extra_fields: bool = False):
+    """Timestamps in seconds and the ``(n, len(header) - 1)`` value matrix.
+
+    ``header`` names the columns: integer milliseconds first, floats after.
+    ``extra_fields`` lets rows carry fields past the header's.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = _read_bulk(path, header)
+    except Exception:  # any failure: the line parser, the reference, decides
+        parsed = None
+    return parsed if parsed is not None else _parse_lines(path, header, extra_fields)
+
+
+def _header_ok(row, header) -> bool:
+    return row is not None and tuple(h.strip() for h in row) == header
+
+
+def _read_bulk(path: str, header: tuple[str, ...]):
+    """The bulk parse, or None where it cannot vouch for the result."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_ms"]:
-            raise ParseError(f"expected header t_ms, got {header}", line=1)
+        if not _header_ok(next(reader, None), header):
+            return None
+        skip = reader.line_num
+        body = fh.read()
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    del body  # free the text before numpy reads the file
+    if raw.translate(None, _BULK_CHARS) or not _fields_within_csv_limit(raw):
+        return None
+    del raw
+    dtype = np.dtype([("t_ms", np.int64), ("v", np.float64, (len(header) - 1,))])
+    # An absolute path: np.loadtxt opens a "scheme://..." name as a URL.
+    rows = np.loadtxt(
+        os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=1
+    )
+    t = rows["t_ms"] / 1000.0
+    values = np.ascontiguousarray(rows["v"])
+    if not (np.all(t[1:] > t[:-1]) and np.all(np.isfinite(values))):
+        return None
+    return t, values
+
+
+def _fields_within_csv_limit(raw: bytes) -> bool:
+    """Whether no field of ``raw`` can pass the csv module's field size
+    limit, which makes the line parser raise. Holds when every aligned
+    block of half the limit contains a separator: a longer run between
+    separators would cover a whole block."""
+    step = max(1, csv.field_size_limit() // 2)
+    return all(
+        any(raw.find(sep, i, i + step) >= 0 for sep in (b",", b"\n", b"\r"))
+        for i in range(0, len(raw) - step + 1, step)
+    )
+
+
+def _parse_lines(path: str, header: tuple[str, ...], extra_fields: bool = False):
+    """The reference reader, one row at a time: same result as the bulk
+    path where that succeeds, and the line-numbered error otherwise."""
+    width = len(header)
+    t: list[float] = []
+    values: list[list[float]] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        row = next(reader, None)
+        if not _header_ok(row, header):
+            raise ParseError(f"expected header {','.join(header)}, got {row}", line=1)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            if len(row) < width or (len(row) > width and not extra_fields):
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
             try:
                 t_ms = int(row[0])
+                v = [float(x) for x in row[1:width]]
             except ValueError as e:
                 raise ParseError(str(e), line=lineno) from e
+            if not all(map(math.isfinite, v)):
+                raise ParseError("samples must be finite", line=lineno)
             ts = t_ms / 1000.0
-            if out and ts <= out[-1]:
+            if t and ts <= t[-1]:
                 raise NonMonotonicTimestamp(
-                    f"t_ms {t_ms} does not increase past {round(out[-1] * 1000)}", line=lineno
+                    f"t_ms {t_ms} does not increase past {round(t[-1] * 1000)}", line=lineno
                 )
-            out.append(ts)
-    return out
+            t.append(ts)
+            values.append(v)
+    matrix = np.asarray(values, dtype=np.float64).reshape(len(t), width - 1)
+    return np.asarray(t, dtype=np.float64), matrix
 
 
 def dump_jsonl_record(record: dict) -> str:

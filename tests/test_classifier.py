@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 import synth
@@ -98,6 +99,42 @@ class TestMaxPool:
             for i, j, c in np.ndindex(*out.shape):
                 expected[2 * i + arg[i, j, c], j, c] = dout[i, j, c]
             assert np.array_equal(dx, expected)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argmax_form_bit_for_bit(self, data):
+        h = data.draw(st.integers(0, 41), label="h")
+        w = data.draw(st.integers(1, 3), label="w")
+        c = data.draw(st.integers(1, 6), label="c")
+        # ReLU outputs are mostly +0.0; -0.0 ties it, integers tie each other
+        elems = st.sampled_from([-0.0, 0.0, 1.0, 2.0, -1.0]) | st.floats(-1e6, 1e6)
+        x = data.draw(hnp.arrays(np.float64, (h, w, c), elements=elems), label="x")
+        tie = data.draw(hnp.arrays(np.bool_, (h // 2, w, c)), label="tie")
+        x[1 : 2 * (h // 2) : 2][tie] = x[0 : 2 * (h // 2) : 2][tie]
+        out, arg = kernels.maxpool2(x)
+        out_ref, arg_ref = _maxpool2_argmax(x)
+        assert out.dtype == out_ref.dtype and arg.dtype == arg_ref.dtype
+        assert out.tobytes() == out_ref.tobytes()
+        assert arg.tobytes() == arg_ref.tobytes()
+        dout = data.draw(hnp.arrays(np.float64, out.shape, elements=elems), label="dout")
+        dx = kernels.maxpool2_backward(dout, arg, h)
+        assert dx.tobytes() == _maxpool2_backward_put(dout, arg_ref, h).tobytes()
+
+
+def _maxpool2_argmax(x):
+    """Reference pool: argmax over row pairs, then take_along_axis."""
+    h2 = x.shape[0] // 2
+    xr = x[: 2 * h2].reshape(h2, 2, x.shape[1], x.shape[2])
+    arg = xr.argmax(axis=1)
+    return np.take_along_axis(xr, arg[:, None], axis=1)[:, 0], arg.astype(np.int64)
+
+
+def _maxpool2_backward_put(dout, arg, h):
+    """Reference pool backward: put_along_axis into the winning rows."""
+    dx = np.zeros((h,) + dout.shape[1:])
+    dxr = dx[: 2 * (h // 2)].reshape(h // 2, 2, dout.shape[1], dout.shape[2])
+    np.put_along_axis(dxr, arg[:, None], dout[:, None], axis=1)
+    return dx
 
 
 class TestForward:

@@ -130,6 +130,12 @@ class TestSweepAndRate:
         assert "pois_per_minute" in out
         assert "ratio_vs_sliding_3s" in out
 
+    def test_non_finite_sample_exit_2_with_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_ms,ax,ay,az\n0,0,0,9.8\n40,0,0,9.8\n80,nan,0,9.8\n")
+        assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
+        assert "error: line 4: samples must be finite" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv,code",

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
+from mfed import traceio
 from mfed.errors import ConfigError, NonMonotonicTimestamp, ParseError
 from mfed.traceio import load_annotations, load_trace
 
@@ -58,6 +63,22 @@ class TestLoadTrace:
         assert len(loaded) == len(series)
         assert np.allclose(loaded.xyz, series.xyz, atol=1e-6)
 
+    def test_non_finite_sample_carries_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_ms,ax,ay,az\n0,0,0,9.8\n40,0,0,9.8\n80,nan,0,9.8\n120,0,inf,9.8\n")
+        with pytest.raises(ParseError) as err:
+            load_trace(str(path), 25.0)
+        assert err.value.line == 4
+        assert "finite" in str(err.value)
+
+    def test_clean_file_takes_bulk_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_ms,ax,ay,az\r\n0,0.1,-2e-3,9.8\r\n\r\n40,+.5,3.,9.7\r\n")
+        with mock.patch.object(traceio, "_parse_lines", side_effect=AssertionError("fell back")):
+            series = load_trace(str(path), 25.0)
+        assert series.t.tolist() == [0.0, 0.04]
+        assert series.xyz.tolist() == [[0.1, -2e-3, 9.8], [0.5, 3.0, 9.7]]
+
 
 class TestLoadAnnotations:
     def test_empty_file_is_valid(self, tmp_path):
@@ -76,3 +97,111 @@ class TestLoadAnnotations:
         with pytest.raises(NonMonotonicTimestamp) as err:
             load_annotations(str(path))
         assert err.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader against the line parser, on generated CSV text
+
+
+def _float_token(x: float, style: int) -> str:
+    return [repr(x), f"{x:.6f}", f"{x:e}", f"{x:+.3g}", f" {x:g} "][style]
+
+
+_GLITCHES = [  # odd tokens by kind; a kind is drawn first, then a token
+    ["", "   ", "\t", "1\x0c"],  # blank fields, blanks Python strips
+    ["+12", "1_0", "1_0.5", '"40"', '"1,5"'],  # Python reads these, numpy does not
+    ["\x1c1", "\x1f-1"],  # numpy reads these, Python does not
+    ["1e400", "-2e308"],  # overflow to infinity
+    ["nan", "inf", "-inf", "Infinity"],
+    ["1e3", "0x1", "\u0661", "- 1", "--1", "1.2.3", ".", "e5", "99999999999999999999", "# note"],
+]
+_glitch = st.sampled_from(_GLITCHES).flatmap(st.sampled_from)
+
+
+@st.composite
+def _csv_text(draw, width: int) -> str:
+    """A header and rows of ``width`` fields with glitches: odd tokens,
+    whitespace-only and blank lines, extra or missing fields, timestamps
+    that stall or step back. Some files carry exactly one odd token, the
+    rest glitches at a drawn rate. Line ends are mixed."""
+    header = ["t_ms", "ax", "ay", "az"][:width]
+    if draw(st.integers(0, 19)) == 0:
+        header = [" t_ms "] + header[1:] if draw(st.booleans()) else ["time"] + header[1:]
+    glitch_rate = draw(st.sampled_from([0, 0, 1, 4]))  # in tenths
+    rows = []
+    t_ms = draw(st.integers(-80, 200))
+    for _ in range(draw(st.integers(0, 12))):
+        glitch = draw(st.integers(0, 9)) < glitch_rate
+        t_ms += draw(st.sampled_from([39, 1, 0, -40, 10**6])) if glitch else 40
+        fields = [str(t_ms)] + [
+            _float_token(draw(st.floats(-1e6, 1e6)), draw(st.integers(0, 4))) for _ in range(width - 1)
+        ]
+        kind = draw(st.integers(0, 3)) if draw(st.integers(0, 9)) < glitch_rate else None
+        if kind == 0:
+            fields[draw(st.integers(0, width - 1))] = draw(_glitch)
+        elif kind == 1:
+            fields.append(draw(st.sampled_from(["0", "", "x"])))
+        elif kind == 2 and width > 1:
+            fields.pop()
+        elif kind == 3:
+            rows.append([draw(st.sampled_from(["", "  ", "\t", " \t "]))])
+        rows.append(fields)
+    if rows and glitch_rate == 0 and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_glitch)
+    lines = [",".join(header)] + [",".join(fields) for fields in rows]
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.integers(0, 9)) else text.rstrip("\r\n")
+
+
+def _outcome(fn):
+    """What a reader does: its arrays as bytes, or the error it raises."""
+    try:
+        got = fn()
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return ("raised", type(e), str(e), getattr(e, "line", None))
+    if isinstance(got, list):  # annotation instants
+        got = (np.asarray(got, dtype=np.float64),)
+    elif not isinstance(got, tuple):  # a series
+        got = (got.t, got.xyz)
+    return ("ok",) + tuple((a.dtype, a.shape, a.tobytes()) for a in got)
+
+
+def _line_parser_only():
+    return mock.patch.object(traceio, "_read_bulk", return_value=None)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("diff") / "in.csv"
+
+
+class TestBulkMatchesLineParser:
+    @given(_csv_text(width=4))
+    @settings(max_examples=400, deadline=None)
+    def test_trace(self, csv_path, text):
+        csv_path.write_bytes(text.encode("utf-8"))
+        got = _outcome(lambda: load_trace(str(csv_path), 25.0))
+        with _line_parser_only():
+            expected = _outcome(lambda: load_trace(str(csv_path), 25.0))
+        assert got == expected
+        direct = _outcome(lambda: traceio._parse_lines(str(csv_path), traceio.TRACE_HEADER))
+        bulk = _outcome(lambda: traceio._read_csv(str(csv_path), traceio.TRACE_HEADER))
+        assert bulk == direct
+
+    def test_field_past_csv_limit(self, csv_path):
+        csv_path.write_text("t_ms,ax,ay,az\n0,0,0,9.8\n40," + "0" * 140_000 + ",0,9.8\n")
+        got = _outcome(lambda: load_trace(str(csv_path), 25.0))
+        with _line_parser_only():
+            assert got == _outcome(lambda: load_trace(str(csv_path), 25.0))
+        assert got[0] == "raised"
+
+    @given(_csv_text(width=1))
+    @settings(max_examples=300, deadline=None)
+    def test_annotations(self, csv_path, text):
+        csv_path.write_bytes(text.encode("utf-8"))
+        got = _outcome(lambda: load_annotations(str(csv_path)))
+        with _line_parser_only():
+            expected = _outcome(lambda: load_annotations(str(csv_path)))
+        assert got == expected
