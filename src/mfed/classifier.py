@@ -8,8 +8,12 @@ windows are ``(n, 3)`` sample blocks reshaped to ``(n, 3, 1)``; n must be
 at least 7 for the shape arithmetic to stay positive.
 
 Training is deliberately plain: seeded fan-in-scaled uniform init,
-mini-batch SGD on binary cross-entropy, single-threaded, bit-reproducible
-for a given seed. Ambiguous windows are excluded from training.
+mini-batch SGD on binary cross-entropy, single-threaded. Each mini-batch
+is one forward and one backward pass over a ``(B, n, 3)`` stack of
+windows, whose gradients come out summed over the batch. Results are
+bit-reproducible for a given seed, but not bit-equal to summing per-window
+gradients, which adds in another order. Inference runs the same pass on a
+batch of one. Ambiguous windows are excluded from training.
 """
 from __future__ import annotations
 
@@ -189,27 +193,48 @@ def _window_array(window) -> np.ndarray:
     return x
 
 
-def _forward_cached(w: ModelWeights, x: np.ndarray) -> tuple[float, dict]:
-    x3 = x.reshape(x.shape[0], 3, 1)
-    z1 = kernels.conv2d(x3, w.conv1_w, w.conv1_b)
-    a1 = np.maximum(z1, 0.0)
+def _relu(z: np.ndarray) -> np.ndarray:
+    """ReLU in place; afterwards ``z > 0`` exactly where it was before."""
+    return np.maximum(z, 0.0, out=z)
+
+
+def _forward_pass(w: ModelWeights, x: np.ndarray) -> tuple[list[float], dict]:
+    """Probabilities for a ``(B, n, 3)`` batch of windows, and the
+    activations the backward pass needs."""
+    x3 = x[..., None]
+    a1 = _relu(kernels.conv2d(x3, w.conv1_w, w.conv1_b))
     p1, i1 = kernels.maxpool2(a1)
-    z2 = kernels.conv2d(p1, w.conv2_w, w.conv2_b)
-    a2 = np.maximum(z2, 0.0)
+    a2 = _relu(kernels.conv2d(p1, w.conv2_w, w.conv2_b))
     p2, i2 = kernels.maxpool2(a2)
-    flat = p2.reshape(-1)
-    z3 = flat @ w.dense1_w + w.dense1_b
-    a3 = np.maximum(z3, 0.0)
-    z4 = a3 @ w.dense2_w + w.dense2_b
-    a4 = np.maximum(z4, 0.0)
-    z5 = float((a4 @ w.out_w)[0] + w.out_b[0])
-    p = _sigmoid(z5)
-    cache = {
-        "x3": x3, "z1": z1, "a1": a1, "i1": i1, "p1": p1,
-        "z2": z2, "a2": a2, "i2": i2, "p2": p2,
-        "flat": flat, "z3": z3, "a3": a3, "z4": z4, "a4": a4,
-    }
+    flat = p2.reshape(x.shape[0], -1)
+    a3 = _relu(flat @ w.dense1_w + w.dense1_b)
+    a4 = _relu(a3 @ w.dense2_w + w.dense2_b)
+    z5 = (a4 @ w.out_w)[:, 0] + w.out_b[0]
+    p = [_sigmoid(z) for z in z5.tolist()]
+    cache = {"x3": x3, "a1": a1, "i1": i1, "p1": p1, "a2": a2, "i2": i2, "flat": flat, "a3": a3, "a4": a4}
     return p, cache
+
+
+def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients summed over the batch, given dloss/dz5 per window."""
+    grads: dict[str, np.ndarray] = {}
+    a4, a3, flat = cache["a4"], cache["a3"], cache["flat"]
+    grads["out_w"] = a4.T @ dz5[:, None]
+    grads["out_b"] = np.array([dz5.sum()])
+    dz4 = dz5[:, None] * w.out_w[:, 0] * (a4 > 0)
+    grads["dense2_w"] = a3.T @ dz4
+    grads["dense2_b"] = dz4.sum(axis=0)
+    dz3 = (dz4 @ w.dense2_w.T) * (a3 > 0)
+    grads["dense1_w"] = flat.T @ dz3
+    grads["dense1_b"] = dz3.sum(axis=0)
+    dp2 = (dz3 @ w.dense1_w.T).reshape(cache["i2"].shape)
+    dz2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["a2"].shape[-3])
+    dz2 *= cache["a2"] > 0
+    dp1, grads["conv2_w"], grads["conv2_b"] = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2)
+    dz1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["a1"].shape[-3])
+    dz1 *= cache["a1"] > 0
+    _, grads["conv1_w"], grads["conv1_b"] = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1)
+    return grads
 
 
 def forward(weights: ModelWeights, window) -> float:
@@ -217,8 +242,8 @@ def forward(weights: ModelWeights, window) -> float:
     x = _window_array(window)
     if x.shape[0] != weights.n:
         raise ShapeError(f"window has {x.shape[0]} rows, weights expect {weights.n}")
-    p, _ = _forward_cached(weights, x)
-    return p
+    p, _ = _forward_pass(weights, x[None])
+    return p[0]
 
 
 def classify(weights: ModelWeights, window, threshold: float = 0.5) -> bool:
@@ -226,41 +251,18 @@ def classify(weights: ModelWeights, window, threshold: float = 0.5) -> bool:
     return forward(weights, window) >= threshold
 
 
-def _backward(w: ModelWeights, cache: dict, dz5: float) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    a4, a3, flat = cache["a4"], cache["a3"], cache["flat"]
-    grads["out_w"] = a4[:, None] * dz5
-    grads["out_b"] = np.array([dz5])
-    da4 = w.out_w[:, 0] * dz5
-    dz4 = da4 * (cache["z4"] > 0)
-    grads["dense2_w"] = np.outer(a3, dz4)
-    grads["dense2_b"] = dz4
-    da3 = w.dense2_w @ dz4
-    dz3 = da3 * (cache["z3"] > 0)
-    grads["dense1_w"] = np.outer(flat, dz3)
-    grads["dense1_b"] = dz3
-    dflat = w.dense1_w @ dz3
-    dp2 = dflat.reshape(cache["p2"].shape)
-    da2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["a2"].shape[0])
-    dz2 = da2 * (cache["z2"] > 0)
-    dp1, dw2, db2 = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2)
-    grads["conv2_w"] = dw2
-    grads["conv2_b"] = db2
-    da1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["a1"].shape[0])
-    dz1 = da1 * (cache["z1"] > 0)
-    _, dw1, db1 = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1)
-    grads["conv1_w"] = dw1
-    grads["conv1_b"] = db1
-    return grads
-
-
-def loss_and_grads(w: ModelWeights, x: np.ndarray, y: float) -> tuple[float, dict]:
-    """Binary cross-entropy and its gradients for one window."""
-    p, cache = _forward_cached(w, x)
+def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:
+    """Binary cross-entropy and its gradients, summed over a ``(B, n, 3)``
+    batch with ``(B,)`` labels; one ``(n, 3)`` window takes a scalar label."""
+    if x.ndim == 2:
+        x, y = x[None], [y]
+    y = np.asarray(y, dtype=np.float64)
+    p, cache = _forward_pass(w, x)
     eps = 1e-12
-    loss = -(y * math.log(max(p, eps)) + (1.0 - y) * math.log(max(1.0 - p, eps)))
-    grads = _backward(w, cache, p - y)
-    return loss, grads
+    loss = 0.0
+    for pi, yi in zip(p, y.tolist()):
+        loss -= yi * math.log(max(pi, eps)) + (1.0 - yi) * math.log(max(1.0 - pi, eps))
+    return loss, _backward_pass(w, cache, np.asarray(p) - y)
 
 
 @dataclass(frozen=True)
@@ -295,6 +297,7 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
     for x in xs:
         if x.shape[0] != n:
             raise ShapeError(f"mixed window lengths {n} and {x.shape[0]}")
+    xs = np.stack(xs)
     ys = np.array([1.0 if d.label is Label.POSITIVE else 0.0 for d in used])
 
     rng = np.random.default_rng(cfg.seed)
@@ -305,15 +308,12 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
         total = 0.0
         for b0 in range(0, len(order), cfg.batch_size):
             batch = order[b0 : b0 + cfg.batch_size]
-            acc = {k: np.zeros_like(v) for k, v in w.tensors().items()}
-            for i in batch:
-                loss, grads = loss_and_grads(w, xs[i], ys[i])
-                total += loss
-                for k in names:
-                    acc[k] += grads[k]
+            loss, grads = loss_and_grads(w, xs[batch], ys[batch])
+            total += loss
             scale = cfg.learning_rate / len(batch)
             for k in names:
-                getattr(w, k)[...] -= scale * acc[k]
+                grads[k] *= scale
+                getattr(w, k)[...] -= grads[k]
         logger.info("epoch %d/%d loss %.6f", epoch + 1, cfg.epochs, total / len(used))
     return w.validate()
 
@@ -344,12 +344,31 @@ def save_weights(weights: ModelWeights, path: str):
     doc = {"version": weights.version, "meta": {"n": weights.n, "rate": weights.rate}}
     for section, (wname, bname) in _SCHEMA.items():
         key = "filters" if section.startswith("conv") else "weights"
-        doc[section] = {
-            key: getattr(weights, wname).tolist(),
-            "biases": getattr(weights, bname).tolist(),
-        }
+        doc[section] = {key: getattr(weights, wname), "biases": getattr(weights, bname)}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.writelines(_json_pieces(doc))
+
+
+def _json_pieces(obj):
+    """The text ``json.dump`` writes for ``obj`` with its arrays as nested
+    lists, in pieces of at most one array row. Each piece goes through the
+    C encoder, which ``json.dump`` never uses, and no piece holds a whole
+    array's text."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
+        yield "["
+        for i, row in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _json_pieces(row)
+        yield "]"
+    else:
+        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
 def load_weights(path: str) -> ModelWeights:

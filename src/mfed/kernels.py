@@ -6,6 +6,12 @@ Each kernel exists once, written in numpy; ``signal_core`` and
 Conventions:
   - acceleration matrices are float64 ``(n, 3)`` arrays, channel order x/y/z
   - variance is the population variance, summed over the three channels
+  - the CNN layers index ``x[..., h, w, c]``: any leading axes (a batch of
+    windows) pass through, and ``conv2d_backward`` returns weight and bias
+    gradients summed over them
+  - a convolution with one input channel (conv1) is four broadcast
+    multiply-adds instead of a K = 1 matrix product; both forms add
+    ``b + t00 + t01 + t10 + t11`` in that order, so outputs are unchanged
   - max-pooling halves the time axis (pairs, stride 2, floor); the later
     row of a pair wins only when strictly greater, so ties keep the earlier
     row, matching ``np.argmax`` on NaN-free input
@@ -74,46 +80,48 @@ def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
 
 
 # ---------------------------------------------------------------------------
-# valid 2x2 convolution: (H, W, C) -> (H-1, W-1, F)
+# valid 2x2 convolution: (..., H, W, C) -> (..., H-1, W-1, F)
 
 
 def conv2d(x, w, b):
-    h, wd, _ = x.shape
-    out = np.tile(b, (h - 1, wd - 1, 1))
+    h, wd, c = x.shape[-3:]
+    out = np.tile(b, x.shape[:-3] + (h - 1, wd - 1, 1))
     for di in range(2):
         for dj in range(2):
-            out += np.tensordot(x[di : h - 1 + di, dj : wd - 1 + dj, :], w[di, dj], axes=([2], [0]))
+            xs = x[..., di : h - 1 + di, dj : wd - 1 + dj, :]
+            out += xs * w[di, dj, 0] if c == 1 else np.tensordot(xs, w[di, dj], axes=([-1], [0]))
     return out
 
 
 def conv2d_backward(x, w, dout):
-    h, wd, _ = x.shape
-    db = dout.sum(axis=(0, 1))
-    dw = np.zeros_like(w)
+    h, wd, c = x.shape[-3:]
+    rows = dout.reshape(-1, dout.shape[-1])  # one row per output position
+    db = rows.sum(axis=0)
+    dw = np.empty_like(w)
     dx = np.zeros_like(x)
     for di in range(2):
         for dj in range(2):
-            xs = x[di : h - 1 + di, dj : wd - 1 + dj, :]
-            dw[di, dj] = np.tensordot(xs, dout, axes=([0, 1], [0, 1]))
-            dx[di : h - 1 + di, dj : wd - 1 + dj, :] += dout @ w[di, dj].T
+            xs = x[..., di : h - 1 + di, dj : wd - 1 + dj, :]
+            dw[di, dj] = xs.reshape(-1, c).T @ rows
+            dx[..., di : h - 1 + di, dj : wd - 1 + dj, :] += (rows @ w[di, dj].T).reshape(xs.shape)
     return dx, dw, db
 
 
 # ---------------------------------------------------------------------------
-# 2x1 max pool along the time axis, stride 2, floor on odd lengths
+# 2x1 max pool along the time axis (..., H, W, C), stride 2, floor on odd lengths
 
 
 def maxpool2(x):
-    h2 = x.shape[0] // 2
-    top, bottom = x[0 : 2 * h2 : 2], x[1 : 2 * h2 : 2]
+    h2 = x.shape[-3] // 2
+    top, bottom = x[..., 0 : 2 * h2 : 2, :, :], x[..., 1 : 2 * h2 : 2, :, :]
     arg = bottom > top
     return np.where(arg, bottom, top), arg.astype(np.int64)
 
 
 def maxpool2_backward(dout, arg, h):
-    dx = np.zeros((h,) + dout.shape[1:])
+    dx = np.zeros(dout.shape[:-3] + (h,) + dout.shape[-2:])
     h2 = h // 2
     won = arg == 1
-    dx[0 : 2 * h2 : 2] = np.where(won, 0.0, dout)
-    dx[1 : 2 * h2 : 2] = np.where(won, dout, 0.0)
+    dx[..., 0 : 2 * h2 : 2, :, :] = np.where(won, 0.0, dout)
+    dx[..., 1 : 2 * h2 : 2, :, :] = np.where(won, dout, 0.0)
     return dx

@@ -18,6 +18,7 @@ whitespace-only lines), and raises the line-numbered error.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -81,7 +82,7 @@ def _header_ok(row, header) -> bool:
 
 def _read_bulk(path: str, header: tuple[str, ...]):
     """The bulk parse, or None where it cannot vouch for the result."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         if not _header_ok(next(reader, None), header):
             return None
@@ -118,30 +119,56 @@ def _fields_within_csv_limit(raw: bytes) -> bool:
     )
 
 
+def _open_csv(path: str):
+    # Bytes that are not UTF-8 decode to lone surrogates instead of raising
+    # mid-file; _numbered_rows reports them with their line.
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _numbered_rows(fh):
+    """``(line, row)`` for each csv row of ``fh``, numbered from 1. A row
+    the csv module refuses (a field past ``csv.field_size_limit()``) or
+    one holding bytes that are not UTF-8 is a ParseError at its line."""
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise ParseError(str(e), line=lineno) from e
+        if not all(map(str.isascii, row)):
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("bytes that are not valid UTF-8", line=lineno) from None
+        yield lineno, row
+
+
 def _parse_lines(path: str, header: tuple[str, ...], extra_fields: bool = False):
     """The reference reader, one row at a time: same result as the bulk
     path where that succeeds, and the line-numbered error otherwise."""
     width = len(header)
     t: list[float] = []
     values: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        row = next(reader, None)
+    with _open_csv(path) as fh:
+        rows = _numbered_rows(fh)
+        _, row = next(rows, (1, None))
         if not _header_ok(row, header):
             raise ParseError(f"expected header {','.join(header)}, got {row}", line=1)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < width or (len(row) > width and not extra_fields):
                 raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
             try:
                 t_ms = int(row[0])
+                ts = t_ms / 1000.0
                 v = [float(x) for x in row[1:width]]
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:
                 raise ParseError(str(e), line=lineno) from e
             if not all(map(math.isfinite, v)):
                 raise ParseError("samples must be finite", line=lineno)
-            ts = t_ms / 1000.0
             if t and ts <= t[-1]:
                 raise NonMonotonicTimestamp(
                     f"t_ms {t_ms} does not increase past {round(t[-1] * 1000)}", line=lineno

@@ -143,7 +143,8 @@ def _make_upload(state: WatchState, now: float) -> Upload:
 
 
 def _cooldown_over(state: WatchState, policy: UploadPolicy, now: float) -> bool:
-    return state.last_upload_t is None or now - state.last_upload_t >= policy.min_upload_gap
+    # the sum, not now - last_upload_t: a tick at last_upload_t + min_upload_gap must find it over
+    return state.last_upload_t is None or now >= state.last_upload_t + policy.min_upload_gap
 
 
 def on_poi(state: WatchState, poi_t: float, policy: UploadPolicy, now: float) -> Upload | None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,9 +171,18 @@ class TestForward:
         rng = np.random.default_rng(4)
         for n in (7, 8, 9, 13, 20, 33, 150):
             w = C.init_weights(n, 25.0, rng)
-            p, cache = C._forward_cached(w, rng.normal(size=(n, 3)))
-            assert cache["flat"].shape == (C.flatten_dim(n),)
-            assert 0.0 < p < 1.0
+            p, cache = C._forward_pass(w, rng.normal(size=(2, n, 3)))
+            assert cache["flat"].shape == (2, C.flatten_dim(n))
+            assert all(0.0 < pi < 1.0 for pi in p)
+
+    @given(st.integers(7, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_window_formula_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = _random_weights(n, rng)
+        x = rng.normal(size=(n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
+        p_ref, _ = _window_forward(w, x)
+        assert C.forward(w, x) == p_ref
 
     def test_row_count_mismatch(self):
         w = small_weights()
@@ -262,7 +273,107 @@ class TestTrain:
                 assert abs(num - ana) / max(1e-8, abs(num) + abs(ana)) < 1e-4, name
 
 
+# ---------------------------------------------------------------------------
+# The per-window network: a forward and a backward pass over one (n, 3)
+# window, written with the per-window kernel forms (tensordot for every
+# convolution, the argmax pool above). Batched passes are checked against it.
+
+
+def _random_weights(n, rng):
+    """Seeded init with nonzero biases, which init_weights leaves at zero."""
+    w = C.init_weights(n, 25.0, rng)
+    for name, arr in w.tensors().items():
+        if name.endswith("_b"):
+            arr[...] = rng.normal(0.0, 0.1, size=arr.shape)
+    return w
+
+
+def _window_conv(x, w, b):
+    h, wd, _ = x.shape
+    out = np.tile(b, (h - 1, wd - 1, 1))
+    for di in range(2):
+        for dj in range(2):
+            out += np.tensordot(x[di : h - 1 + di, dj : wd - 1 + dj, :], w[di, dj], axes=([2], [0]))
+    return out
+
+
+def _window_conv_backward(x, w, dout):
+    h, wd, _ = x.shape
+    dw = np.zeros_like(w)
+    dx = np.zeros_like(x)
+    for di in range(2):
+        for dj in range(2):
+            dw[di, dj] = np.tensordot(x[di : h - 1 + di, dj : wd - 1 + dj, :], dout, axes=([0, 1], [0, 1]))
+            dx[di : h - 1 + di, dj : wd - 1 + dj, :] += dout @ w[di, dj].T
+    return dx, dw, dout.sum(axis=(0, 1))
+
+
+def _window_forward(w, x):
+    x3 = x.reshape(x.shape[0], 3, 1)
+    z1 = _window_conv(x3, w.conv1_w, w.conv1_b)
+    p1, i1 = _maxpool2_argmax(np.maximum(z1, 0.0))
+    z2 = _window_conv(p1, w.conv2_w, w.conv2_b)
+    p2, i2 = _maxpool2_argmax(np.maximum(z2, 0.0))
+    flat = p2.reshape(-1)
+    z3 = flat @ w.dense1_w + w.dense1_b
+    a3 = np.maximum(z3, 0.0)
+    z4 = a3 @ w.dense2_w + w.dense2_b
+    a4 = np.maximum(z4, 0.0)
+    z5 = float((a4 @ w.out_w)[0] + w.out_b[0])
+    p = 1.0 / (1.0 + math.exp(-z5)) if z5 >= 0 else math.exp(z5) / (1.0 + math.exp(z5))
+    return p, locals()
+
+
+def _window_loss_and_grads(w, x, y):
+    p, c = _window_forward(w, x)
+    loss = -(y * math.log(max(p, 1e-12)) + (1.0 - y) * math.log(max(1.0 - p, 1e-12)))
+    dz5 = p - y
+    dz4 = w.out_w[:, 0] * dz5 * (c["z4"] > 0)
+    dz3 = (w.dense2_w @ dz4) * (c["z3"] > 0)
+    dp2 = (w.dense1_w @ dz3).reshape(c["p2"].shape)
+    dz2 = _maxpool2_backward_put(dp2, c["i2"], c["z2"].shape[0]) * (c["z2"] > 0)
+    dp1, dw2, db2 = _window_conv_backward(c["p1"], w.conv2_w, dz2)
+    dz1 = _maxpool2_backward_put(dp1, c["i1"], c["z1"].shape[0]) * (c["z1"] > 0)
+    _, dw1, db1 = _window_conv_backward(c["x3"], w.conv1_w, dz1)
+    grads = {
+        "conv1_w": dw1, "conv1_b": db1, "conv2_w": dw2, "conv2_b": db2,
+        "dense1_w": np.outer(c["flat"], dz3), "dense1_b": dz3,
+        "dense2_w": np.outer(c["a3"], dz4), "dense2_b": dz4,
+        "out_w": c["a4"][:, None] * dz5, "out_b": np.array([dz5]),
+    }
+    return loss, grads
+
+
+class TestBatch:
+    @given(st.integers(7, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_sum_of_windows(self, n, b, seed, data):
+        ys = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=b, max_size=b), label="ys"))
+        rng = np.random.default_rng(seed)
+        w = _random_weights(n, rng)
+        xs = rng.normal(size=(b, n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
+        loss, grads = C.loss_and_grads(w, xs, ys)
+        per_window = [_window_loss_and_grads(w, x, y) for x, y in zip(xs, ys)]
+        loss_ref = sum(lw for lw, _ in per_window)
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        for name, arr in w.tensors().items():
+            ref = sum(g[name] for _, g in per_window)
+            assert grads[name].shape == arr.shape
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
 class TestWeightsFile:
+    def test_bytes_match_json_dump(self, tmp_path):
+        import io
+        import json
+
+        path = tmp_path / "w.json"
+        C.save_weights(small_weights(4), str(path))
+        text = path.read_text()
+        expected = io.StringIO()
+        json.dump(json.loads(text), expected)
+        assert text == expected.getvalue()
+
     def test_round_trip(self, tmp_path):
         w = small_weights(1)
         path = tmp_path / "w.json"

@@ -136,6 +136,12 @@ class TestSweepAndRate:
         assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
         assert "error: line 4: samples must be finite" in capsys.readouterr().err
 
+    def test_undecodable_byte_exit_2_with_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(b"t_ms,ax,ay,az\n0,0,0,9.8\n40,0,\xff,9.8\n")
+        assert main(["poi-rate", "--trace", str(trace)]) == 2
+        assert "error: line 3: bytes that are not valid UTF-8" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv,code",

@@ -205,6 +205,7 @@ class TestUploadedData:
     )
     @example(quorum=1, quorum_window=120.0, min_upload_gap=0.0, spacing=3.2, dropout=None)
     @example(quorum=1, quorum_window=120.0, min_upload_gap=0.0, spacing=8.0, dropout=0.2)
+    @example(quorum=2, quorum_window=10.5625, min_upload_gap=43.0, spacing=10.5625, dropout=None)
     @settings(max_examples=40, deadline=None)
     def test_windows_equal_smoothing_of_uploaded_samples(
         self, quorum, quorum_window, min_upload_gap, spacing, dropout

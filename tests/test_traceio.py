@@ -80,6 +80,19 @@ class TestLoadTrace:
         assert series.xyz.tolist() == [[0.1, -2e-3, 9.8], [0.5, 3.0, 9.7]]
 
 
+    @pytest.mark.parametrize(
+        "row",
+        [b"40,0,\xff,9.8", b"40," + b"0" * 140_000 + b",0,9.8", b"1" + b"0" * 400 + b",0,0,9.8"],
+        ids=["not-utf8", "past-csv-field-limit", "t-ms-overflows-float"],
+    )
+    def test_bad_row_carries_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t_ms,ax,ay,az\n0,0,0,9.8\n" + row + b"\n80,0,0,9.8\n")
+        with pytest.raises(ParseError) as err:
+            load_trace(str(path), 25.0)
+        assert err.value.line == 3
+
+
 class TestLoadAnnotations:
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -205,3 +218,28 @@ class TestBulkMatchesLineParser:
         with _line_parser_only():
             expected = _outcome(lambda: load_annotations(str(csv_path)))
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary bytes: every input loads or is a line-numbered ParseError
+
+_byte_piece = st.sampled_from(
+    [b"0", b"7", b"40", b"-", b".", b"e", b"+", b",", b" ", b"\n", b"\r", b"\r\n", b'"', b"\x00",
+     b"\xff", b"\xc3\xa9", b"\xe2\x82", b"nan", b"9" * 400, b"1" * 20]
+) | st.binary(max_size=3)
+
+
+@given(
+    st.sampled_from([b"", b"t_ms,ax,ay,az\n", b"t_ms\n", b"t_ms,ax,ay,az\n0,0,0,9.8\n"]),
+    st.lists(_byte_piece, max_size=40).map(b"".join),
+)
+@settings(max_examples=400, deadline=None)
+def test_arbitrary_bytes_load_or_raise_parse_error_with_line(csv_path, head, body):
+    csv_path.write_bytes(head + body)
+    for header, extra_fields in ((traceio.TRACE_HEADER, False), (traceio.ANNOTATION_HEADER, True)):
+        try:
+            t, values = traceio._read_csv(str(csv_path), header, extra_fields)
+        except ParseError as e:
+            assert isinstance(e.line, int) and e.line >= 1
+        else:
+            assert values.shape == (len(t), len(header) - 1)

@@ -61,6 +61,16 @@ class TestOnPoi:
         assert len(actions) == 1 and isinstance(actions[0], Upload)
         assert actions[0].payload.span == (90.0, 150.0)
 
+    def test_tick_at_scheduled_time_ends_cooldown(self):
+        # the simulator ticks at last_upload_t + min_upload_gap; here
+        # (44.04 + 43.0) - 44.04 < 43.0 in floating point
+        policy = UploadPolicy(quorum=1, quorum_window=10.0, min_upload_gap=43.0)
+        state = WatchState("p1", series=series())
+        assert on_poi(state, 44.04, policy, 44.04) is not None
+        assert on_poi(state, 50.0, policy, 50.0) is None and state.pending_quorum
+        actions = on_tick(state, 44.04 + 43.0, policy, None)
+        assert len(actions) == 1 and isinstance(actions[0], Upload)
+
     def test_clock_regression(self):
         state = WatchState("p1")
         on_poi(state, 10.0, POLICY, 10.0)
