@@ -14,14 +14,19 @@ windows, whose gradients come out summed over the batch. Results are
 bit-reproducible for a given seed, but not bit-equal to summing per-window
 gradients, which adds in another order. Inference runs the same pass on a
 batch of one. Ambiguous windows are excluded from training.
+
+A window is a gesture when its probability is at least
+``DECISION_THRESHOLD``. Trained weights are stored as one uncompressed
+``.npz`` archive: ``version``, ``n``, ``rate`` and the ten float64 tensors
+under their ``ModelWeights`` field names. The same weights always give the
+same bytes, and loading checks every member, dtype and shape.
 """
 from __future__ import annotations
 
 import bisect
-import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +39,8 @@ logger = logging.getLogger(__name__)
 CONV1_FILTERS = 32
 CONV2_FILTERS = 64
 DENSE_UNITS = 100
-WEIGHTS_VERSION = 1
+WEIGHTS_VERSION = 2
+DECISION_THRESHOLD = 0.5  # forward probability at or above it is a gesture
 
 POSITIVE_BAND = 2.0  # s from nearest annotation
 AMBIGUOUS_BAND = 4.0
@@ -117,7 +123,6 @@ class ModelWeights:
     out_b: np.ndarray  # (1,)
     n: int
     rate: float
-    version: int = WEIGHTS_VERSION
 
     def validate(self) -> "ModelWeights":
         expected = {
@@ -134,6 +139,8 @@ class ModelWeights:
         }
         for name, shape in expected.items():
             arr = getattr(self, name)
+            if arr.dtype != np.float64:
+                raise FormatError(f"{name} has dtype {arr.dtype}, expected float64")
             if arr.shape != shape:
                 raise FormatError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
@@ -141,18 +148,10 @@ class ModelWeights:
         return self
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "conv1_w": self.conv1_w,
-            "conv1_b": self.conv1_b,
-            "conv2_w": self.conv2_w,
-            "conv2_b": self.conv2_b,
-            "dense1_w": self.dense1_w,
-            "dense1_b": self.dense1_b,
-            "dense2_w": self.dense2_w,
-            "dense2_b": self.dense2_b,
-            "out_w": self.out_w,
-            "out_b": self.out_b,
-        }
+        return {name: getattr(self, name) for name in TENSOR_NAMES}
+
+
+TENSOR_NAMES = tuple(f.name for f in fields(ModelWeights) if f.name not in ("n", "rate"))
 
 
 def init_weights(n: int, rate: float, rng: np.random.Generator) -> ModelWeights:
@@ -246,9 +245,9 @@ def forward(weights: ModelWeights, window) -> float:
     return p[0]
 
 
-def classify(weights: ModelWeights, window, threshold: float = 0.5) -> bool:
-    """True (eating gesture) when forward probability >= threshold."""
-    return forward(weights, window) >= threshold
+def classify(weights: ModelWeights, window) -> bool:
+    """True (eating gesture) when forward probability >= DECISION_THRESHOLD."""
+    return forward(weights, window) >= DECISION_THRESHOLD
 
 
 def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:
@@ -318,85 +317,52 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
     return w.validate()
 
 
-def training_accuracy(weights: ModelWeights, data: list[LabeledWindow], threshold: float = 0.5) -> float:
+def training_accuracy(weights: ModelWeights, data: list[LabeledWindow]) -> float:
     used = [d for d in data if d.label is not Label.AMBIGUOUS]
     hits = 0
     for d in used:
-        pred = classify(weights, d.window, threshold)
+        pred = classify(weights, d.window)
         hits += pred == (d.label is Label.POSITIVE)
     return hits / len(used)
 
 
 # ---------------------------------------------------------------------------
-# weights file: JSON, arrays nested row-major
-
-_SCHEMA = {
-    "conv1": ("conv1_w", "conv1_b"),
-    "conv2": ("conv2_w", "conv2_b"),
-    "dense1": ("dense1_w", "dense1_b"),
-    "dense2": ("dense2_w", "dense2_b"),
-    "out": ("out_w", "out_b"),
-}
+# weights file: an .npz archive of version, n, rate and the float64 tensors
 
 
 def save_weights(weights: ModelWeights, path: str):
     weights.validate()
-    doc = {"version": weights.version, "meta": {"n": weights.n, "rate": weights.rate}}
-    for section, (wname, bname) in _SCHEMA.items():
-        key = "filters" if section.startswith("conv") else "weights"
-        doc[section] = {key: getattr(weights, wname), "biases": getattr(weights, bname)}
-    with open(path, "w") as fh:
-        fh.writelines(_json_pieces(doc))
+    # a file object, since np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(fh, version=WEIGHTS_VERSION, n=weights.n, rate=weights.rate, **weights.tensors())
 
 
-def _json_pieces(obj):
-    """The text ``json.dump`` writes for ``obj`` with its arrays as nested
-    lists, in pieces of at most one array row. Each piece goes through the
-    C encoder, which ``json.dump`` never uses, and no piece holds a whole
-    array's text."""
-    if isinstance(obj, dict):
-        yield "{"
-        for i, (key, value) in enumerate(obj.items()):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from _json_pieces(value)
-        yield "}"
-    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
-        yield "["
-        for i, row in enumerate(obj):
-            if i:
-                yield ", "
-            yield from _json_pieces(row)
-        yield "]"
-    else:
-        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
+def _scalar(arrays: dict, name: str, kinds: str):
+    a = arrays.get(name)
+    if a is None or a.shape != () or a.dtype.kind not in kinds:
+        raise FormatError(f"weights archive needs a numeric scalar {name!r}")
+    return a.item()
 
 
 def load_weights(path: str) -> ModelWeights:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"weights file is not valid JSON: {e}") from e
-    version = doc.get("version")
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+        # damaged bytes raise errors of a dozen types from zipfile, zlib, lzma,
+        # bz2, tokenize and numpy, and a bare .npy loads as an array, which is
+        # no context manager; each means the file is not a weights archive
+        except Exception as e:
+            raise FormatError(f"{path} is not a readable .npz weights archive; retrain with mfed train") from e
+    version = _scalar(arrays, "version", "iu")
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {version!r} (supported: {WEIGHTS_VERSION})")
-    meta = doc.get("meta", {})
-    if "n" not in meta or "rate" not in meta:
-        raise FormatError("weights meta must carry n and rate")
-    fields: dict[str, np.ndarray] = {}
-    for section, (wname, bname) in _SCHEMA.items():
-        block = doc.get(section)
-        if not isinstance(block, dict):
-            raise FormatError(f"missing section {section!r}")
-        key = "filters" if section.startswith("conv") else "weights"
-        try:
-            fields[wname] = np.asarray(block[key], dtype=np.float64)
-            fields[bname] = np.asarray(block["biases"], dtype=np.float64)
-        except (KeyError, ValueError) as e:
-            raise FormatError(f"section {section!r} is malformed: {e}") from e
+    n, rate = _scalar(arrays, "n", "iu"), _scalar(arrays, "rate", "iuf")
+    names = set(arrays) - {"version", "n", "rate"}
+    missing, extra = set(TENSOR_NAMES) - names, names - set(TENSOR_NAMES)
+    if missing or extra:
+        raise FormatError(f"weights archive: missing {sorted(missing)}, unexpected {sorted(extra)}")
     try:
-        return ModelWeights(
-            n=int(meta["n"]), rate=float(meta["rate"]), version=version, **fields
-        ).validate()
+        return ModelWeights(n=n, rate=float(rate), **{k: arrays[k] for k in TENSOR_NAMES}).validate()
     except ShapeError as e:
         raise FormatError(str(e)) from e

@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="weights JSON path")
+    p.add_argument("--out", required=True, help="weights file (.npz)")
 
     p = sub.add_parser("evaluate", help="match detections against annotations")
     p.add_argument("--trace", required=True)

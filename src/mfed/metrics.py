@@ -85,12 +85,7 @@ class SweepRow:
     f1: float
 
 
-def detect_gesture_times(
-    series: AccelSeries,
-    cfg: DetectorConfig,
-    weights=None,
-    threshold: float = 0.5,
-) -> tuple[list[float], int]:
+def detect_gesture_times(series: AccelSeries, cfg: DetectorConfig, weights=None) -> tuple[list[float], int]:
     """(classified gesture times, PoI count) for one raw series.
 
     Without weights every PoI counts as a gesture (threshold-only mode).
@@ -99,11 +94,7 @@ def detect_gesture_times(
     pois = detect_pois(smoothed, cfg)
     if weights is None:
         return [p.t for p in pois], len(pois)
-    times = [
-        p.t
-        for p in pois
-        if _classifier.classify(weights, extract_window(smoothed, p, cfg), threshold)
-    ]
+    times = [p.t for p in pois if _classifier.classify(weights, extract_window(smoothed, p, cfg))]
     return times, len(pois)
 
 
@@ -115,7 +106,6 @@ def threshold_sweep(
     weights=None,
     cfg: DetectorConfig = DetectorConfig(),
     tolerance: float = 4.0,
-    threshold: float = 0.5,
 ) -> list[SweepRow]:
     """Full cross product of thresholds; one row per (x_th, v_th)."""
     if not x_th_list or not v_th_list:
@@ -126,7 +116,7 @@ def threshold_sweep(
     for x_th in x_th_list:
         for v_th in v_th_list:
             c = cfg.with_thresholds(x_th, v_th)
-            times, n_pois = detect_gesture_times(series, c, weights, threshold)
+            times, n_pois = detect_gesture_times(series, c, weights)
             m = match_gestures(times, annotations, tolerance)
             rows.append(SweepRow(x_th, v_th, n_pois / minutes, m.precision, m.recall, m.f1))
     return rows

@@ -18,6 +18,7 @@ import heapq
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -83,7 +84,7 @@ class HomeConfig:
     start_hour: float = 0.0
     duration: float | None = None
     ema_ttl: float = 1800.0
-    decision_threshold: float = 0.5
+    decision_threshold: float = classifier.DECISION_THRESHOLD
 
     def validate(self) -> "HomeConfig":
         if not self.participants:
@@ -99,7 +100,21 @@ class HomeConfig:
             spec.responder.validate()
             if spec.trace is None and spec.series is None:
                 raise ConfigError(f"participant {spec.participant.id} has no trace")
+        # named by their home-config keys; NaN and non-numbers fail every comparison
+        if self.duration is not None and not 0 < _real(self.duration) < math.inf:
+            raise ConfigError(f"duration_s must be positive and finite, got {self.duration!r}")
+        if not 0 <= _real(self.start_hour) < 24:
+            raise ConfigError(f"start_hour must be an hour of the day in [0, 24), got {self.start_hour!r}")
+        if not 1 < _real(self.ema_ttl):
+            raise ConfigError(f"ema_ttl_s must be more than 1 s, got {self.ema_ttl!r}")
+        if not 0 <= _real(self.decision_threshold) <= 1:
+            raise ConfigError(f"decision_threshold must be a number in [0, 1], got {self.decision_threshold!r}")
         return self
+
+
+def _real(value) -> float:
+    """``value`` as a float, or NaN when it is not a real number."""
+    return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
 
 
 # the JSON keys of a home config, and of each of its participants
@@ -206,7 +221,7 @@ class HomeSimulation:
             for i, spec in enumerate(config.participants)
         ]
         self.duration = config.duration or max(n.series.duration for n in self.nodes)
-        self.heap: list[tuple[float, int, str, int, object]] = []
+        self.heap: list[tuple[float, int, str, _Node, object]] = []  # seq breaks ties
         self.seq = itertools.count()
         self.records = 0
         self.event_count = 0
@@ -217,8 +232,8 @@ class HomeSimulation:
         self.log_fh.write(traceio.dump_jsonl_record(record) + "\n")
         self.records += 1
 
-    def _push(self, t: float, kind: str, node_idx: int, payload=None):
-        heapq.heappush(self.heap, (t, next(self.seq), kind, node_idx, payload))
+    def _push(self, t: float, kind: str, node: _Node, payload=None):
+        heapq.heappush(self.heap, (t, next(self.seq), kind, node, payload))
 
     # -- event handlers ----------------------------------------------------
 
@@ -227,7 +242,7 @@ class HomeSimulation:
         if upload is not None:
             self._handle_upload(t, node, upload)
         elif node.watch.pending_quorum and node.watch.last_upload_t is not None:
-            self._push(node.watch.last_upload_t + self.cfg.policy.min_upload_gap, "tick", self.nodes.index(node))
+            self._push(node.watch.last_upload_t + self.cfg.policy.min_upload_gap, "tick", node)
 
     def _handle_tick(self, t: float, node: _Node, _):
         for action in watch.on_tick(node.watch, t, self.cfg.policy, self.cfg.duty):
@@ -291,9 +306,8 @@ class HomeSimulation:
                 self._handle_emission(t, node, emission)
             # quiescence checks; clamped to now since gestures can arrive
             # long after their sample time (next quorum or final flush)
-            idx = self.nodes.index(node)
-            self._push(max(t, poi.t + events.MERGE_GAP), "stream_check", idx)
-            self._push(max(t, poi.t + events.MERGE_GAP + events.CLUSTER_GAP), "stream_check", idx)
+            self._push(max(t, poi.t + events.MERGE_GAP), "stream_check", node)
+            self._push(max(t, poi.t + events.MERGE_GAP + events.CLUSTER_GAP), "stream_check", node)
 
     def _handle_emission(self, t: float, node: _Node, emission):
         pid = node.spec.participant.id
@@ -321,7 +335,7 @@ class HomeSimulation:
                     trigger=f"event:{event_id}",
                     event=emission.event,
                 )
-                self._push(outcome.at, "ema_send", self.nodes.index(node), survey)
+                self._push(outcome.at, "ema_send", node, survey)
             else:
                 self._log(
                     {
@@ -359,7 +373,7 @@ class HomeSimulation:
                 sent_t=outcome.at,
                 trigger="hourly",
             )
-            self._push(outcome.at, "ema_send", self.nodes.index(node), survey)
+            self._push(outcome.at, "ema_send", node, survey)
 
     def _handle_ema_send(self, t: float, node: _Node, survey: ema.EmaSurvey):
         self._log(
@@ -373,12 +387,11 @@ class HomeSimulation:
             }
         )
         profile = node.spec.responder
-        idx = self.nodes.index(node)
         if node.rng.random() < profile.response_prob:
             delay = min(self.cfg.ema_ttl - 1.0, max(5.0, node.rng.exponential(profile.delay_mean_s)))
-            self._push(t + delay, "ema_answer", idx, survey)
+            self._push(t + delay, "ema_answer", node, survey)
         else:
-            self._push(t + self.cfg.ema_ttl, "ema_expire", idx, survey)
+            self._push(t + self.cfg.ema_ttl, "ema_expire", node, survey)
 
     def _answers(self, node: _Node, survey: ema.EmaSurvey):
         """Responder agent: drive the flow to Terminal, truthfully when asked."""
@@ -455,29 +468,29 @@ class HomeSimulation:
 
     def run(self) -> dict:
         end = self.duration
-        for idx, node in enumerate(self.nodes):
+        for node in self.nodes:
             for poi in node.pois:
                 decided = decision_time(node.series, poi, self.cfg.detector)
                 if decided <= end:
-                    self._push(decided, "poi", idx, poi)
+                    self._push(decided, "poi", node, poi)
             if self.cfg.duty is not None:
                 k = 0
                 while k * self.cfg.duty.beacon_interval <= end:
                     start = k * self.cfg.duty.beacon_interval
-                    self._push(start, "tick", idx)
-                    self._push(min(end, start + self.cfg.duty.beacon_scan_len), "tick", idx)
+                    self._push(start, "tick", node)
+                    self._push(min(end, start + self.cfg.duty.beacon_scan_len), "tick", node)
                     k += 1
             first_hour = -(self.cfg.start_hour * 3600.0) % 3600.0
             t = first_hour
             while t <= end:
-                self._push(t, "hour", idx)
+                self._push(t, "hour", node)
                 t += 3600.0
 
         while self.heap:
-            t, _, kind, idx, payload = heapq.heappop(self.heap)
+            t, _, kind, node, payload = heapq.heappop(self.heap)
             if t > end:
                 break
-            getattr(self, f"_handle_{kind}")(t, self.nodes[idx], payload)
+            getattr(self, f"_handle_{kind}")(t, node, payload)
 
         for node in self.nodes:
             final = watch.flush(node.watch, end)
@@ -519,12 +532,19 @@ class HomeSimulation:
 
 def with_run_seed(config: HomeConfig, flag: int | None) -> HomeConfig:
     """``config`` with the seed of the run: ``flag`` (``mfed simulate
-    --seed``) beats ``MFED_SEED``, which beats the config seed."""
-    seed = flag if flag is not None else os.environ.get("MFED_SEED", config.seed)
-    try:
-        return replace(config, seed=int(seed))
-    except ValueError as e:
-        raise ConfigError(f"MFED_SEED must be an integer: {e}") from e
+    --seed``) beats ``MFED_SEED``, which beats the config seed. The seed
+    must be a non-negative integer."""
+    if flag is not None:
+        key, seed = "--seed", flag
+    elif "MFED_SEED" in os.environ:
+        key, seed = "MFED_SEED", os.environ["MFED_SEED"]
+    else:
+        key, seed = "seed", config.seed
+    if isinstance(seed, str) and seed.strip().isdecimal():
+        seed = int(seed)
+    if type(seed) is not int or seed < 0:  # not isinstance: True must not run as seed 1
+        raise ConfigError(f"{key} must be a non-negative integer, got {seed!r}")
+    return replace(config, seed=seed)
 
 
 def run_home_simulation(config: HomeConfig, log_fh) -> dict:

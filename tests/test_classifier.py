@@ -1,4 +1,5 @@
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -194,23 +195,30 @@ class TestForward:
             C.flatten_dim(6)
 
 
+def _constant_weights(out_b):
+    """All tensors zero but the output bias: forward is sigmoid(out_b) for any window."""
+    w = small_weights()
+    for arr in w.tensors().values():
+        arr[...] = 0.0
+    w.out_b[0] = out_b
+    return w
+
+
 class TestClassify:
     def test_above_threshold(self):
-        w = small_weights()
         x = np.random.default_rng(5).normal(size=(10, 3))
-        p = C.forward(w, x)
-        assert C.classify(w, x, threshold=p - 0.01)
+        assert C.forward(_constant_weights(5.0), x) > C.DECISION_THRESHOLD
+        assert C.classify(_constant_weights(5.0), x)
 
     def test_threshold_is_inclusive(self):
-        w = small_weights()
         x = np.random.default_rng(6).normal(size=(10, 3))
-        p = C.forward(w, x)
-        assert C.classify(w, x, threshold=p)
+        assert C.forward(_constant_weights(0.0), x) == C.DECISION_THRESHOLD == 0.5
+        assert C.classify(_constant_weights(0.0), x)
 
     def test_high_threshold(self):
-        w = small_weights()
         x = np.random.default_rng(7).normal(size=(10, 3))
-        assert not C.classify(w, x, threshold=0.999999)
+        assert C.forward(_constant_weights(-5.0), x) < C.DECISION_THRESHOLD
+        assert not C.classify(_constant_weights(-5.0), x)
 
 
 def _labeled(rng, count, n=16):
@@ -362,17 +370,27 @@ class TestBatch:
             assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
-class TestWeightsFile:
-    def test_bytes_match_json_dump(self, tmp_path):
-        import io
-        import json
+def _members(w):
+    return {"version": C.WEIGHTS_VERSION, "n": w.n, "rate": w.rate, **w.tensors()}
 
-        path = tmp_path / "w.json"
-        C.save_weights(small_weights(4), str(path))
-        text = path.read_text()
-        expected = io.StringIO()
-        json.dump(json.loads(text), expected)
-        assert text == expected.getvalue()
+
+def _write_archive(path, members):
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+class TestWeightsFile:
+    def test_archive_layout(self, tmp_path):
+        w = small_weights(4)
+        path = tmp_path / "w.npz"
+        C.save_weights(w, str(path))
+        with np.load(path, allow_pickle=False) as z:
+            assert sorted(z.files) == sorted(["version", "n", "rate", *C.TENSOR_NAMES])
+            assert z["version"].shape == () and z["version"] == 2 == C.WEIGHTS_VERSION
+            assert z["n"].shape == () and z["n"] == w.n
+            assert z["rate"].shape == () and z["rate"] == w.rate
+            for name, arr in w.tensors().items():
+                assert z[name].dtype == np.float64 and np.array_equal(z[name], arr), name
 
     def test_round_trip(self, tmp_path):
         w = small_weights(1)
@@ -383,27 +401,105 @@ class TestWeightsFile:
         for k, v in w.tensors().items():
             assert np.array_equal(v, loaded.tensors()[k]), k
 
-    def test_filter_count_mismatch(self, tmp_path):
-        import json
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        C.save_weights(small_weights(5), str(tmp_path / "w.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
-        w = small_weights(2)
-        path = tmp_path / "w.json"
-        C.save_weights(w, str(path))
-        doc = json.loads(path.read_text())
-        doc["conv1"]["filters"] = [[[row[:16] for row in plane] for plane in blk] for blk in doc["conv1"]["filters"]]
-        doc["conv1"]["biases"] = doc["conv1"]["biases"][:16]
-        path.write_text(json.dumps(doc))
+    def test_saves_are_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        C.save_weights(small_weights(6), str(a))
+        C.save_weights(small_weights(6), str(b))
+        assert a.read_bytes() == b.read_bytes()
+        with zipfile.ZipFile(a) as z:  # no member carries the time of the save
+            assert {m.date_time for m in z.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_filter_count_mismatch(self, tmp_path):
+        members = _members(small_weights(2))
+        members["conv1_w"] = members["conv1_w"][..., :16]
+        members["conv1_b"] = members["conv1_b"][:16]
+        path = tmp_path / "w.npz"
+        _write_archive(path, members)
         with pytest.raises(FormatError, match="conv1"):
             C.load_weights(str(path))
 
     def test_unsupported_version(self, tmp_path):
-        import json
+        path = tmp_path / "w.npz"
+        for version in (1, 3, 99):
+            _write_archive(path, {**_members(small_weights(3)), "version": version})
+            with pytest.raises(FormatError, match=f"version {version}"):
+                C.load_weights(str(path))
 
-        w = small_weights(3)
-        path = tmp_path / "w.json"
-        C.save_weights(w, str(path))
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="99"):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda m: m.pop("out_b"), id="missing-tensor"),
+            pytest.param(lambda m: m.update(extra=np.zeros(3)), id="extra-array"),
+            pytest.param(lambda m: m.update(conv2_b=m["conv2_b"].astype(np.float32)), id="float32"),
+            pytest.param(lambda m: m.update(conv2_b=m["conv2_b"].astype(np.int64)), id="int"),
+            pytest.param(lambda m: m.update(dense2_w=m["dense2_w"][:, :99]), id="wrong-shape"),
+            pytest.param(lambda m: m.update(out_b=np.array([np.nan])), id="non-finite"),
+            pytest.param(lambda m: m.update(out_b=np.array([{}], dtype=object)), id="pickled-member"),
+            pytest.param(lambda m: m.pop("version"), id="missing-version"),
+            pytest.param(lambda m: m.pop("n"), id="missing-n"),
+            pytest.param(lambda m: m.pop("rate"), id="missing-rate"),
+            pytest.param(lambda m: m.update(n=np.array([m["n"]])), id="non-scalar-n"),
+            pytest.param(lambda m: m.update(rate=np.array([25.0, 25.0])), id="non-scalar-rate"),
+            pytest.param(lambda m: m.update(n=np.array(b"10")), id="bytes-n"),
+        ],
+    )
+    def test_malformed_archive_is_format_error(self, tmp_path, edit):
+        members = _members(small_weights(7))
+        edit(members)
+        path = tmp_path / "w.npz"
+        _write_archive(path, members)
+        with pytest.raises(FormatError):
             C.load_weights(str(path))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "w.npz"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError):
+            C.load_weights(str(path))
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "w.npz"
+        C.save_weights(small_weights(8), str(path))
+        data = path.read_bytes()
+        for cut in (1, 4, 30, 100, len(data) // 2, len(data) - 23, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                C.load_weights(str(path))
+
+    def test_v1_json_names_mfed_train(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"version": 1, "meta": {"n": 10, "rate": 25.0}, "out": {"weights": [[0.0]], "biases": [0.0]}}')
+        with pytest.raises(FormatError, match="mfed train"):
+            C.load_weights(str(path))
+
+    def test_bare_npy(self, tmp_path):
+        path = tmp_path / "w.npy"
+        np.save(path, small_weights(9).out_w)
+        with pytest.raises(FormatError):
+            C.load_weights(str(path))
+
+    def test_missing_path_stays_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            C.load_weights(str(tmp_path / "none.npz"))
+
+    @given(st.lists(st.tuples(st.integers(0, 2**31), st.integers(0, 255)), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_bytes_load_equal_or_raise_format_error(self, tmp_path_factory, edits):
+        w = small_weights(10, n=7)
+        path = tmp_path_factory.mktemp("w") / "w.npz"
+        C.save_weights(w, str(path))
+        data = bytearray(path.read_bytes())
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        path.write_bytes(bytes(data))
+        try:
+            loaded = C.load_weights(str(path))
+        except FormatError:
+            return
+        assert loaded.n == w.n and loaded.rate == w.rate
+        for k, v in w.tensors().items():
+            assert np.array_equal(v, loaded.tensors()[k]), k

@@ -46,7 +46,7 @@ class TestDetect:
         weights = C.init_weights(150, 25.0, np.random.default_rng(0))
         for arr in weights.tensors().values():
             arr[...] = 0.0  # forward = 0.5, inclusive threshold keeps every PoI
-        wpath = tmp_path / "w.json"
+        wpath = tmp_path / "w.npz"
         C.save_weights(weights, str(wpath))
         out = tmp_path / "events.jsonl"
         code = main(
@@ -56,6 +56,14 @@ class TestDetect:
         events = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(events) == 1
         assert len(events[0]["gestures"]) == len(gestures)
+
+    def test_v1_json_weights_exit_2_naming_mfed_train(self, meal_trace, tmp_path, capsys):
+        trace, _, _ = meal_trace
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({"version": 1, "meta": {"n": 150, "rate": 25.0}, "out": {"biases": [0.0]}}))
+        code = main(["detect", "--trace", str(trace), "--rate", "25", "--weights", str(wpath)])
+        assert code == 2
+        assert "mfed train" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -184,7 +192,7 @@ class TestTrainCommand:
         synth.write_trace_csv(str(trace), series)
         ann = tmp_path / "a.csv"
         synth.write_annotations_csv(str(ann), gestures)
-        out = tmp_path / "weights.json"
+        out = tmp_path / "weights.npz"
         code = main(
             [
                 "train", "--trace", str(trace), "--annotations", str(ann),
@@ -192,9 +200,9 @@ class TestTrainCommand:
             ]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["version"] == 1
-        assert doc["meta"]["n"] == 150
+        with np.load(out, allow_pickle=False) as z:
+            assert z["version"] == 2
+            assert z["n"] == 150
 
 
 class TestSimulate:
@@ -292,3 +300,47 @@ class TestSimulate:
         else:
             assert code == 2
             assert typo in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("duration_s", 0),
+            ("duration_s", -5),
+            ("duration_s", float("nan")),
+            ("start_hour", "x"),
+            ("start_hour", float("nan")),
+            ("ema_ttl_s", 0.5),
+            ("ema_ttl_s", 1.0),
+            ("decision_threshold", "x"),
+            ("decision_threshold", 1.5),
+            ("seed", -1),
+            ("seed", None),
+            ("seed", 1.5),
+            ("seed", True),
+            ("MFED_SEED", "x"),
+            ("MFED_SEED", "-3"),
+            ("--seed", -1),
+        ],
+    )
+    def test_invalid_value_exits_2_before_logging(self, tmp_path, capsys, monkeypatch, key, value):
+        from mfed import classifier as C
+
+        trace = tmp_path / "t.csv"
+        synth.write_trace_csv(str(trace), synth.noise_trace(np.random.default_rng(0), 60.0))
+        wpath = tmp_path / "w.npz"
+        C.save_weights(C.init_weights(150, 25.0, np.random.default_rng(0)), str(wpath))
+        config = {"home_id": "h1", "weights": str(wpath), "participants": [{"id": "p1", "trace": str(trace)}]}
+        monkeypatch.delenv("MFED_SEED", raising=False)
+        argv = []
+        if key == "MFED_SEED":
+            monkeypatch.setenv(key, value)
+        elif key == "--seed":
+            argv = [key, str(value)]
+        else:
+            config[key] = value
+        cfg_path = tmp_path / "home.json"
+        cfg_path.write_text(json.dumps(config))
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(log), *argv]) == 2
+        assert key in capsys.readouterr().err
+        assert not log.exists()
