@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, FormatError, InsufficientData, ShapeError
+from .errors import ConfigError, FormatError, InsufficientData, ShapeError, real
 from .signal_core import GestureWindow, Label
 
 logger = logging.getLogger(__name__)
@@ -274,10 +274,12 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < real(self.learning_rate) < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if type(self.seed) is not int or self.seed < 0:  # numpy rejects a negative seed mid-run
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         return self
 
 

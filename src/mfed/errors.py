@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that
+configuration validation uses."""
+import math
+import numbers
+
+
+def real(value) -> float:
+    """``value`` as a float, or NaN when it is not a real number (a string,
+    None, a bool). Written as ``not lo < real(x)``, a bound also fails NaN."""
+    return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
 
 
 class MfedError(Exception):

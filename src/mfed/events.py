@@ -14,7 +14,8 @@ and finalizes it once a later cluster qualifies beyond the merge gap or
 equal the batch output over the same gestures whenever each gesture is
 observed before any `advance` call at or past its own time: for example,
 each gesture observed at its own time, or late delivery with no
-`advance` calls before `finish`.
+`advance` calls before `finish`. The simulator relies on the second case:
+its gestures arrive with watch uploads, so it never calls `advance`.
 """
 from __future__ import annotations
 

@@ -1,10 +1,11 @@
 """Evaluation harness: gesture matching, PoI rates, and threshold sweeps."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import classifier as _classifier
-from .errors import InsufficientData
+from .errors import ConfigError, InsufficientData, real
 from .signal_core import AccelSeries, DetectorConfig, detect_pois, extract_window, smooth
 
 
@@ -35,6 +36,8 @@ def match_gestures(detected, annotations, tolerance: float = 4.0) -> Metrics:
     annotation and vice versa, so tp+fp = len(detected) and
     tp+fn = len(annotations).
     """
+    if not 0 <= real(tolerance) < math.inf:
+        raise ConfigError(f"tolerance must be non-negative and finite, got {tolerance!r}")
     i = j = tp = 0
     while i < len(detected) and j < len(annotations):
         if abs(detected[i] - annotations[j]) <= tolerance:

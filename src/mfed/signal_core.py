@@ -12,13 +12,14 @@ independently; candidate windows never straddle a dropout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, WindowOutOfBounds
+from .errors import ConfigError, WindowOutOfBounds, real
 
 MAX_JITTER_FACTOR = 1.5
 
@@ -44,8 +45,8 @@ class AccelSeries:
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.t, dtype=np.float64))
         xyz = np.ascontiguousarray(np.asarray(self.xyz, dtype=np.float64))
-        if self.rate <= 0:
-            raise ConfigError(f"rate must be positive, got {self.rate}")
+        if not 0 < real(self.rate) < math.inf:
+            raise ConfigError(f"rate must be positive and finite, got {self.rate!r}")
         if xyz.ndim != 2 or xyz.shape[1] != 3 or xyz.shape[0] != t.shape[0]:
             raise ConfigError(f"xyz shape {xyz.shape} does not match {t.shape[0]} timestamps")
         if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
@@ -75,20 +76,20 @@ class DetectorConfig:
     smooth_len: float = 1.0  # s, moving-average width (0 disables)
 
     def validate(self) -> "DetectorConfig":
-        if self.x_th >= 0:
-            raise ConfigError(f"x_th must be negative, got {self.x_th}")
-        if self.v_th < 0:
-            raise ConfigError(f"v_th must be non-negative, got {self.v_th}")
-        if self.peak_min_gap <= 0:
-            raise ConfigError(f"peak_min_gap must be positive, got {self.peak_min_gap}")
-        if self.window_len <= 0:
-            raise ConfigError(f"window_len must be positive, got {self.window_len}")
-        if self.smooth_len < 0:
-            raise ConfigError(f"smooth_len must be non-negative, got {self.smooth_len}")
+        if not real(self.x_th) < 0:
+            raise ConfigError(f"x_th must be negative, got {self.x_th!r}")
+        if not real(self.v_th) >= 0:
+            raise ConfigError(f"v_th must be non-negative, got {self.v_th!r}")
+        if not 0 < real(self.peak_min_gap) < math.inf:
+            raise ConfigError(f"peak_min_gap must be positive and finite, got {self.peak_min_gap!r}")
+        if not 0 < real(self.window_len) < math.inf:
+            raise ConfigError(f"window_len must be positive and finite, got {self.window_len!r}")
+        if not 0 <= real(self.smooth_len) < math.inf:
+            raise ConfigError(f"smooth_len must be non-negative and finite, got {self.smooth_len!r}")
         return self
 
     def with_thresholds(self, x_th: float, v_th: float) -> "DetectorConfig":
-        return replace(self, x_th=x_th, v_th=v_th)
+        return replace(self, x_th=x_th, v_th=v_th).validate()
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ their traces, count each PoI at its decision time, and upload on quorum
 (see ``watch``); the base station classifies exactly the PoIs each upload
 names, clusters gestures into events, and schedules EMAs; seeded responder
 agents answer the surveys; ground truth is resolved at the end of the run.
+Each participant's event detector only observes the gestures uploads
+deliver: an event is finalized when that participant's next event is
+detected or when the run ends, so the finalized events always equal
+``events.detect_events`` over the participant's logged gestures.
 Nothing past the end of the run is counted or shipped. Identical (config,
 seed) pairs produce byte-identical JSONL logs.
 
@@ -18,14 +22,13 @@ import heapq
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import classifier, ema, events, traceio, watch
-from .errors import ConfigError, InvalidAnswer
+from .errors import ConfigError, InvalidAnswer, real
 from .signal_core import AccelSeries, DetectorConfig, decision_time, detect_pois, extract_window, smooth
 
 
@@ -37,6 +40,19 @@ class BeaconSpec:
     path_loss_exp: float = 2.0
     noise_db: float = 2.0
 
+    def validate(self) -> "BeaconSpec":
+        if not isinstance(self.id, str):
+            raise ConfigError(f"beacon id must be a string, got {self.id!r}")
+        if not 0 <= real(self.distance_m) < math.inf:
+            raise ConfigError(f"distance_m must be >= 0 and finite, got {self.distance_m!r}")
+        if not -math.inf < real(self.tx_power_dbm) < math.inf:
+            raise ConfigError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        if not 0 <= real(self.path_loss_exp) < math.inf:
+            raise ConfigError(f"path_loss_exp must be >= 0 and finite, got {self.path_loss_exp!r}")
+        if not 0 <= real(self.noise_db) < math.inf:
+            raise ConfigError(f"noise_db must be >= 0 and finite, got {self.noise_db!r}")
+        return self
+
 
 @dataclass(frozen=True)
 class ResponderProfile:
@@ -47,10 +63,10 @@ class ResponderProfile:
     eating_type: str = "meal"
 
     def validate(self) -> "ResponderProfile":
-        if not 0 <= self.response_prob <= 1:
-            raise ConfigError(f"response_prob must be in [0, 1], got {self.response_prob}")
-        if self.delay_mean_s <= 0:
-            raise ConfigError(f"delay_mean_s must be positive, got {self.delay_mean_s}")
+        if not 0 <= real(self.response_prob) <= 1:
+            raise ConfigError(f"response_prob must be in [0, 1], got {self.response_prob!r}")
+        if not 0 < real(self.delay_mean_s) < math.inf:
+            raise ConfigError(f"delay_mean_s must be positive and finite, got {self.delay_mean_s!r}")
         try:
             ema.validate_who_with(frozenset(self.who_with))
         except InvalidAnswer as e:
@@ -96,25 +112,24 @@ class HomeConfig:
         self.policy.validate()
         if self.duty is not None:
             self.duty.validate()
+        for beacon in self.beacons:
+            beacon.validate()
         for spec in self.participants:
             spec.responder.validate()
             if spec.trace is None and spec.series is None:
                 raise ConfigError(f"participant {spec.participant.id} has no trace")
         # named by their home-config keys; NaN and non-numbers fail every comparison
-        if self.duration is not None and not 0 < _real(self.duration) < math.inf:
+        if not 0 < real(self.rate) < math.inf:
+            raise ConfigError(f"rate must be positive and finite, got {self.rate!r}")
+        if self.duration is not None and not 0 < real(self.duration) < math.inf:
             raise ConfigError(f"duration_s must be positive and finite, got {self.duration!r}")
-        if not 0 <= _real(self.start_hour) < 24:
+        if not 0 <= real(self.start_hour) < 24:
             raise ConfigError(f"start_hour must be an hour of the day in [0, 24), got {self.start_hour!r}")
-        if not 1 < _real(self.ema_ttl):
+        if not 1 < real(self.ema_ttl):
             raise ConfigError(f"ema_ttl_s must be more than 1 s, got {self.ema_ttl!r}")
-        if not 0 <= _real(self.decision_threshold) <= 1:
+        if not 0 <= real(self.decision_threshold) <= 1:
             raise ConfigError(f"decision_threshold must be a number in [0, 1], got {self.decision_threshold!r}")
         return self
-
-
-def _real(value) -> float:
-    """``value`` as a float, or NaN when it is not a real number."""
-    return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
 
 
 # the JSON keys of a home config, and of each of its participants
@@ -304,10 +319,6 @@ class HomeSimulation:
             self._log(record)
             for emission in node.stream.observe(poi.t, t):
                 self._handle_emission(t, node, emission)
-            # quiescence checks; clamped to now since gestures can arrive
-            # long after their sample time (next quorum or final flush)
-            self._push(max(t, poi.t + events.MERGE_GAP), "stream_check", node)
-            self._push(max(t, poi.t + events.MERGE_GAP + events.CLUSTER_GAP), "stream_check", node)
 
     def _handle_emission(self, t: float, node: _Node, emission):
         pid = node.spec.participant.id
@@ -357,10 +368,6 @@ class HomeSimulation:
                     "gestures": [_ms(g) for g in emission.event.gesture_times],
                 }
             )
-
-    def _handle_stream_check(self, t: float, node: _Node, _):
-        for emission in node.stream.advance(t):
-            self._handle_emission(t, node, emission)
 
     def _handle_hour(self, t: float, node: _Node, _):
         outcome = ema.hourly_tick(node.spec.participant, t, node.schedule, self.clock)

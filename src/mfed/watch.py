@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClockRegression, ConfigError
+from .errors import ClockRegression, ConfigError, real
 from .signal_core import AccelSeries
 
 BATTERY_START_PERCENT = 100.0
@@ -33,12 +33,12 @@ class UploadPolicy:
     min_upload_gap: float = 60.0  # s
 
     def validate(self) -> "UploadPolicy":
-        if self.quorum < 1:
-            raise ConfigError(f"quorum must be >= 1, got {self.quorum}")
-        if self.quorum_window <= 0:
-            raise ConfigError(f"quorum_window must be positive, got {self.quorum_window}")
-        if self.min_upload_gap < 0:
-            raise ConfigError(f"min_upload_gap must be >= 0, got {self.min_upload_gap}")
+        if not real(self.quorum) >= 1:
+            raise ConfigError(f"quorum must be >= 1, got {self.quorum!r}")
+        if not 0 < real(self.quorum_window) < math.inf:
+            raise ConfigError(f"quorum_window must be positive and finite, got {self.quorum_window!r}")
+        if not 0 <= real(self.min_upload_gap) < math.inf:
+            raise ConfigError(f"min_upload_gap must be >= 0 and finite, got {self.min_upload_gap!r}")
         return self
 
 
@@ -49,10 +49,13 @@ class DutyCycleConfig:
     battery_interval: float = 120.0  # s
 
     def validate(self) -> "DutyCycleConfig":
-        if not 0 < self.beacon_scan_len < self.beacon_interval:
-            raise ConfigError("beacon_scan_len must lie inside beacon_interval")
-        if self.battery_interval <= 0:
-            raise ConfigError("battery_interval must be positive")
+        if not 0 < real(self.beacon_scan_len) < real(self.beacon_interval) < math.inf:
+            raise ConfigError(
+                "beacon_scan_len must lie inside a finite beacon_interval, "
+                f"got {self.beacon_scan_len!r} and {self.beacon_interval!r}"
+            )
+        if not 0 < real(self.battery_interval) < math.inf:
+            raise ConfigError(f"battery_interval must be positive and finite, got {self.battery_interval!r}")
         return self
 
 

@@ -107,6 +107,16 @@ class TestEvaluate:
         tp = int(row.split(",")[0])
         assert tp == 6
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_tolerance_exits_2(self, meal_trace, capsys, command, value):
+        trace, ann, _ = meal_trace
+        argv = [command, "--trace", str(trace), "--annotations", str(ann), f"--tolerance={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err
+        assert captured.out == ""
+
     def test_unsorted_annotations_exit_2(self, meal_trace, tmp_path, capsys):
         trace, _, _ = meal_trace
         bad = tmp_path / "bad.csv"
@@ -143,6 +153,18 @@ class TestSweepAndRate:
         trace.write_text("t_ms,ax,ay,az\n0,0,0,9.8\n40,0,0,9.8\n80,nan,0,9.8\n")
         assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
         assert "error: line 4: samples must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "poi-rate", "sweep"])
+    @pytest.mark.parametrize("flag,key", [("--xth", "x_th"), ("--vth", "v_th"), ("--rate", "rate")])
+    def test_nan_flag_exits_2_naming_it(self, meal_trace, capsys, command, flag, key):
+        trace, ann, _ = meal_trace
+        argv = [command, "--trace", str(trace), f"{flag}=nan"]
+        if command == "sweep":
+            argv += ["--annotations", str(ann)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
 
     def test_undecodable_byte_exit_2_with_line(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -203,6 +225,17 @@ class TestTrainCommand:
         with np.load(out, allow_pickle=False) as z:
             assert z["version"] == 2
             assert z["n"] == 150
+
+    @pytest.mark.parametrize("flag,value,key", [("--lr", "nan", "learning_rate"), ("--seed", "-1", "seed")])
+    def test_invalid_flag_exits_2_before_training(self, meal_trace, tmp_path, capsys, flag, value, key):
+        trace, ann, _ = meal_trace
+        out = tmp_path / "weights.npz"
+        argv = ["train", "--trace", str(trace), "--annotations", str(ann), flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "epoch" not in err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -320,6 +353,19 @@ class TestSimulate:
             ("MFED_SEED", "x"),
             ("MFED_SEED", "-3"),
             ("--seed", -1),
+            ("rate", float("nan")),
+            ("rate", "x"),
+            ("detector.x_th", float("nan")),
+            ("detector.window_len", float("nan")),
+            ("detector.window_len", float("inf")),
+            ("policy.min_upload_gap", float("nan")),
+            ("policy.quorum_window", float("nan")),
+            ("duty.battery_interval", float("nan")),
+            ("responder.delay_mean_s", float("nan")),
+            ("beacons.noise_db", -1),
+            ("beacons.distance_m", "x"),
+            ("beacons.tx_power_dbm", "x"),
+            ("beacons.id", 5),
         ],
     )
     def test_invalid_value_exits_2_before_logging(self, tmp_path, capsys, monkeypatch, key, value):
@@ -336,11 +382,18 @@ class TestSimulate:
             monkeypatch.setenv(key, value)
         elif key == "--seed":
             argv = [key, str(value)]
+        elif key.startswith("beacons."):
+            config["beacons"] = [{"id": "kitchen", key.split(".")[1]: value}]
+        elif key.startswith("responder."):
+            config["participants"][0]["responder"] = {key.split(".")[1]: value}
+        elif "." in key:
+            section, name = key.split(".")
+            config[section] = {name: value}
         else:
             config[key] = value
         cfg_path = tmp_path / "home.json"
         cfg_path.write_text(json.dumps(config))
         log = tmp_path / "log.jsonl"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(log), *argv]) == 2
-        assert key in capsys.readouterr().err
+        assert key.split(".")[-1] in capsys.readouterr().err
         assert not log.exists()

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
-from mfed import classifier, ema, sim, watch
+from mfed import classifier, ema, events, sim, watch
 from mfed.cli import main as cli_main
 from mfed.errors import ConfigError
 from mfed.signal_core import (
@@ -178,9 +178,8 @@ def _run_recording(cfg, monkeypatch):
     return lines, uploads, classified
 
 
-def _spaced_home(spacing, policy, count=10, dropout_after=None):
+def _home(gestures, policy, dropout_after=None, **config):
     rng = np.random.default_rng(5)
-    gestures = [30.0 + spacing * i for i in range(count)]
     series = synth.gesture_trace(rng, gestures, duration=gestures[-1] + 40.0)
     if dropout_after is not None:  # a 5 s dropout right after one gesture's window
         keep = (series.t < dropout_after) | (series.t >= dropout_after + 5.0)
@@ -188,9 +187,23 @@ def _spaced_home(spacing, policy, count=10, dropout_after=None):
     spec = sim.ParticipantSpec(
         participant=ema.Participant("p1", "h1", ema.Role.MOTHER, (0.0, 24.0)), series=series
     )
-    return sim.HomeConfig(
-        home_id="h1", participants=(spec,), policy=policy, weights="w.json", start_hour=11.8
-    )
+    return sim.HomeConfig(home_id="h1", participants=(spec,), policy=policy, start_hour=11.8, **config)
+
+
+def _spaced_home(spacing, policy, count=10, dropout_after=None):
+    gestures = [30.0 + spacing * i for i in range(count)]
+    return _home(gestures, policy, dropout_after, weights="w.json")
+
+
+def _events_against_batch(lines):
+    """Each participant's logged ``eating_event`` gestures, and what
+    ``detect_events`` makes of that participant's logged ``gesture`` times."""
+    logged, batch = {}, {}
+    for pid in {r["participant"] for r in records_of(lines, "gesture")}:
+        logged[pid] = [e["gestures"] for e in records_of(lines, "eating_event") if e["participant"] == pid]
+        times = [r["t_ms"] / 1000.0 for r in records_of(lines, "gesture") if r["participant"] == pid]
+        batch[pid] = [[round(t * 1000) for t in ev.gesture_times] for ev in events.detect_events(times)]
+    return logged, batch
 
 
 class TestUploadedData:
@@ -248,6 +261,42 @@ class TestUploadedData:
                 gestures += 1
                 assert upload_t >= needed[r["t_ms"]]
         assert gestures == len(classified) == 16
+
+    @given(
+        quorum=st.integers(1, 6),
+        quorum_window=st.floats(5.0, 200.0),
+        min_upload_gap=st.floats(0.0, 90.0),
+        spacing=st.floats(2.5, 30.0),
+        count=st.integers(3, 8),
+        gap=st.floats(2.5, 400.0),
+        second=st.integers(1, 5),
+        dropout=st.none() | st.floats(0.0, 1.0),
+    )
+    @example(quorum=4, quorum_window=120.0, min_upload_gap=60.0, spacing=20.0, count=6,
+             gap=1700.0, second=6, dropout=None)
+    @example(quorum=4, quorum_window=120.0, min_upload_gap=60.0, spacing=20.0, count=6,
+             gap=200.0, second=3, dropout=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_eating_events_equal_batch_clustering_of_logged_gestures(
+        self, quorum, quorum_window, min_upload_gap, spacing, count, gap, second, dropout
+    ):
+        first = [30.0 + spacing * i for i in range(count)]
+        gestures = first + [first[-1] + gap + spacing * i for i in range(second)]
+        # the dropout starts up to 1 s after the 2nd gesture's window ends
+        cut = None if dropout is None else first[1] + 3.0 + dropout
+        policy = watch.UploadPolicy(quorum, quorum_window, min_upload_gap)
+        _, lines, _ = run_to_lines(_home(gestures, policy, cut))
+        logged, batch = _events_against_batch(lines)
+        assert logged == batch
+
+    def test_determinism_home_logs_whole_meals(self):
+        # the last two gestures of each meal miss the default quorum of 4 and
+        # arrive with a later upload, after the meal's merge horizon has passed
+        _, lines, _ = run_to_lines(TestDeterminism()._config())
+        logged, batch = _events_against_batch(lines)
+        assert logged == batch
+        meals = [[600_000 + 20_000 * i for i in range(6)], [2_400_000 + 20_000 * i for i in range(6)]]
+        assert logged == {"p1": meals}
 
     def test_duration_shorter_than_trace(self):
         rng = np.random.default_rng(1)
