@@ -46,15 +46,10 @@ POSITIVE_BAND = 2.0  # s from nearest annotation
 AMBIGUOUS_BAND = 4.0
 
 
-def label_poi(
-    poi_t: float,
-    annotations,
-    positive_band: float = POSITIVE_BAND,
-    ambiguous_band: float = AMBIGUOUS_BAND,
-) -> Label:
+def label_poi(poi_t: float, annotations) -> Label:
     """Label a PoI by its distance to the nearest annotation.
 
-    d <= positive_band is Positive, positive_band < d <= ambiguous_band is
+    d <= POSITIVE_BAND is Positive, POSITIVE_BAND < d <= AMBIGUOUS_BAND is
     Ambiguous, anything farther (or no annotations at all) is Negative.
     """
     if not len(annotations):
@@ -65,9 +60,9 @@ def label_poi(
         d = annotations[i] - poi_t
     if i > 0:
         d = min(d, poi_t - annotations[i - 1])
-    if d <= positive_band:
+    if d <= POSITIVE_BAND:
         return Label.POSITIVE
-    if d <= ambiguous_band:
+    if d <= AMBIGUOUS_BAND:
         return Label.AMBIGUOUS
     return Label.NEGATIVE
 

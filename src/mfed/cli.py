@@ -192,8 +192,9 @@ def _cmd_poi_rate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = sim.with_run_seed(sim.load_home_config(args.config), args.seed)
+    simulation = sim.HomeSimulation(config)  # loads every input before --out is opened
     with _out_fh(args.out) as fh:
-        summary = sim.HomeSimulation(config, fh).run()
+        summary = simulation.run(fh)
     if args.gt_out:
         with open(args.gt_out, "w", newline="") as gt_fh:
             traceio.write_ground_truth_csv(summary["ground_truth"], gt_fh)

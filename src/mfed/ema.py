@@ -149,11 +149,6 @@ class Suppressed:
     reason: SuppressReason
 
 
-@dataclass(frozen=True)
-class Skip:
-    reason: SuppressReason
-
-
 def _gap_ok(state: ScheduleState, at: float) -> bool:
     return state.last_sent_t is None or at - state.last_sent_t >= EMA_MIN_GAP
 
@@ -182,14 +177,14 @@ def hourly_tick(
     hour_start: float,
     state: ScheduleState,
     clock: LocalClock,
-) -> SendMoodEma | Skip:
+) -> SendMoodEma | Suppressed:
     """Send the hourly mood EMA unless the hour already carried an eating EMA."""
     if clock.hour_index(hour_start) in state.eating_ema_hours:
-        return Skip(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
+        return Suppressed(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
     if not clock.in_window(participant, hour_start):
-        return Skip(SuppressReason.OUTSIDE_WINDOW)
+        return Suppressed(SuppressReason.OUTSIDE_WINDOW)
     if not _gap_ok(state, hour_start):
-        return Skip(SuppressReason.RATE_LIMITED)
+        return Suppressed(SuppressReason.RATE_LIMITED)
     state.last_sent_t = hour_start
     return SendMoodEma(hour_start)
 
@@ -436,15 +431,14 @@ def _mention_roles(reporter_role: Role, mention: str) -> tuple[Role, ...]:
 def resolve_collaborative_gt(
     responses: list[EmaResponse],
     roster: list[Participant],
-    window: float = COLLAB_WINDOW,
 ) -> list[GroundTruthRecord]:
     """Turn who-with answers into eating ground truth for housemates.
 
     A mention counts only when exactly one roster member of the home can
     carry it. Mentions of one subject whose reporter event times chain
-    within ``window`` coalesce into a single record; a record whose window
-    covers the subject's own confirmed event gains merged provenance. The
-    result is independent of the order of ``responses``.
+    within ``COLLAB_WINDOW`` coalesce into a single record; a record whose
+    window covers the subject's own confirmed event gains merged
+    provenance. The result is independent of the order of ``responses``.
     """
     by_id = {p.id: p for p in roster}
     by_home: dict[str, list[Participant]] = {}
@@ -481,14 +475,14 @@ def resolve_collaborative_gt(
         group: list[tuple[float, str]] = []
         groups: list[list[tuple[float, str]]] = []
         for entry in entries:
-            if group and entry[0] - group[-1][0] > window:
+            if group and entry[0] - group[-1][0] > COLLAB_WINDOW:
                 groups.append(group)
                 group = []
             group.append(entry)
         groups.append(group)
         for grp in groups:
-            lo = grp[0][0] - window
-            hi = grp[-1][0] + window
+            lo = grp[0][0] - COLLAB_WINDOW
+            hi = grp[-1][0] + COLLAB_WINDOW
             first = None
             for own_t, own_survey in confirmed_own.get(subject_id, ()):
                 if lo <= own_t <= hi:
@@ -527,7 +521,6 @@ def first_person_gt(responses: list[EmaResponse]) -> list[GroundTruthRecord]:
 def resolve_hourly_gt(
     mood_responses: list[EmaResponse],
     detected_events: list[EatingEvent],
-    lookback: float = HOURLY_LOOKBACK,
 ) -> list[GroundTruthRecord]:
     """Ground truth from the hourly ate-last-hour answers.
 
@@ -544,7 +537,7 @@ def resolve_hourly_gt(
     for resp in mood_responses:
         if resp.kind is not SurveyKind.MOOD or resp.ate_last_hour is None or resp.t is None:
             continue
-        lo, hi = resp.t - lookback, resp.t
+        lo, hi = resp.t - HOURLY_LOOKBACK, resp.t
         if not resp.ate_last_hour:
             records.append(
                 GroundTruthRecord(

@@ -107,10 +107,10 @@ def threshold_sweep(
     x_th_list,
     v_th_list,
     weights=None,
-    cfg: DetectorConfig = DetectorConfig(),
     tolerance: float = 4.0,
 ) -> list[SweepRow]:
-    """Full cross product of thresholds; one row per (x_th, v_th)."""
+    """Full cross product of thresholds over the default detector; one row
+    per (x_th, v_th)."""
     if not x_th_list or not v_th_list:
         raise ValueError("threshold lists must be non-empty")
     _require_samples(series)
@@ -118,7 +118,7 @@ def threshold_sweep(
     rows = []
     for x_th in x_th_list:
         for v_th in v_th_list:
-            c = cfg.with_thresholds(x_th, v_th)
+            c = DetectorConfig().with_thresholds(x_th, v_th)
             times, n_pois = detect_gesture_times(series, c, weights)
             m = match_gestures(times, annotations, tolerance)
             rows.append(SweepRow(x_th, v_th, n_pois / minutes, m.precision, m.recall, m.f1))

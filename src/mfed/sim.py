@@ -12,9 +12,15 @@ detected or when the run ends, so the finalized events always equal
 Nothing past the end of the run is counted or shipped. Identical (config,
 seed) pairs produce byte-identical JSONL logs.
 
+Unless ``duty`` is None, each watch scans the beacons at every
+``k * beacon_interval`` up to the end of the run: the scans are simulator
+events, which draw each beacon's RSSI and hand the readings to the watch.
+Beacon readings and the watch's own battery samples ride with the first
+upload at or after their capture time, or with the final flush.
+
 Everything is logged as one JSONL record per occurrence, ordered by
-emission time; beacon and battery records ride with the upload that
-shipped them and carry their original capture times.
+emission time; beacon and battery records follow the upload that shipped
+them and carry their original capture times.
 """
 from __future__ import annotations
 
@@ -215,7 +221,7 @@ class _Node:
         self.smoothed = smooth(self.series, cfg.detector.smooth_len)
         self.pois = detect_pois(self.smoothed, cfg.detector)
         self.poi_at = {poi.t: poi for poi in self.pois}  # upload payloads name PoIs by time
-        self.watch = watch.WatchState(pid, series=self.series)
+        self.watch = watch.WatchState(pid, series=self.series, duty=cfg.duty)
         self.stream = events.StreamDetector(pid)
         self.schedule = ema.ScheduleState()
         self.finalized: list[events.EatingEvent] = []
@@ -224,11 +230,15 @@ class _Node:
 
 
 class HomeSimulation:
-    """One home on the virtual clock, seeded with ``config.seed`` as given."""
+    """One home on the virtual clock, seeded with ``config.seed`` as given.
 
-    def __init__(self, config: HomeConfig, log_fh):
+    The constructor loads the traces, the annotations and the weights and
+    finds each trace's PoIs, so a missing or malformed input fails before
+    ``run`` writes any of the log."""
+
+    def __init__(self, config: HomeConfig):
         self.cfg = config.validate()
-        self.log_fh = log_fh
+        self.log_fh = None  # set by run
         self.clock = ema.LocalClock(config.start_hour)
         self.weights = classifier.load_weights(config.weights) if config.weights else None
         self.nodes = [
@@ -260,17 +270,18 @@ class HomeSimulation:
             self._push(node.watch.last_upload_t + self.cfg.policy.min_upload_gap, "tick", node)
 
     def _handle_tick(self, t: float, node: _Node, _):
-        for action in watch.on_tick(node.watch, t, self.cfg.policy, self.cfg.duty):
-            if isinstance(action, watch.Upload):
-                self._handle_upload(t, node, action)
-            elif isinstance(action, watch.BeaconScanStart):
-                for beacon in self.cfg.beacons:
-                    rssi = (
-                        beacon.tx_power_dbm
-                        - 10.0 * beacon.path_loss_exp * math.log10(max(beacon.distance_m, 0.1))
-                        + node.rng.normal(0.0, beacon.noise_db)
-                    )
-                    watch.record_beacon_reading(node.watch, action.t, beacon.id, round(rssi, 2))
+        upload = watch.on_tick(node.watch, t, self.cfg.policy)
+        if upload is not None:
+            self._handle_upload(t, node, upload)
+
+    def _handle_scan(self, t: float, node: _Node, _):
+        for beacon in self.cfg.beacons:
+            rssi = (
+                beacon.tx_power_dbm
+                - 10.0 * beacon.path_loss_exp * math.log10(max(beacon.distance_m, 0.1))
+                + node.rng.normal(0.0, beacon.noise_db)
+            )
+            watch.record_beacon_reading(node.watch, t, beacon.id, round(rssi, 2))
 
     def _handle_upload(self, t: float, node: _Node, upload: watch.Upload):
         payload = upload.payload
@@ -473,20 +484,22 @@ class HomeSimulation:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> dict:
+    def run(self, log_fh) -> dict:
+        """Run the home to completion, writing JSONL to ``log_fh``. Returns
+        a summary dict."""
+        self.log_fh = log_fh
         end = self.duration
         for node in self.nodes:
+            # pushed first, so an upload at the instant of a scan ships its readings
+            if self.cfg.duty is not None:
+                k = 0
+                while k * self.cfg.duty.beacon_interval <= end:
+                    self._push(k * self.cfg.duty.beacon_interval, "scan", node)
+                    k += 1
             for poi in node.pois:
                 decided = decision_time(node.series, poi, self.cfg.detector)
                 if decided <= end:
                     self._push(decided, "poi", node, poi)
-            if self.cfg.duty is not None:
-                k = 0
-                while k * self.cfg.duty.beacon_interval <= end:
-                    start = k * self.cfg.duty.beacon_interval
-                    self._push(start, "tick", node)
-                    self._push(min(end, start + self.cfg.duty.beacon_scan_len), "tick", node)
-                    k += 1
             first_hour = -(self.cfg.start_hour * 3600.0) % 3600.0
             t = first_hour
             while t <= end:
@@ -557,4 +570,4 @@ def with_run_seed(config: HomeConfig, flag: int | None) -> HomeConfig:
 def run_home_simulation(config: HomeConfig, log_fh) -> dict:
     """Run one home to completion, writing JSONL to log_fh. Returns a summary
     dict. ``MFED_SEED`` overrides the config seed."""
-    return HomeSimulation(with_run_seed(config, None), log_fh).run()
+    return HomeSimulation(with_run_seed(config, None)).run(log_fh)

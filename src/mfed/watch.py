@@ -8,9 +8,11 @@ cooldown expiry. Each upload, like the final ``flush``, ships the samples
 taken after the previous upload up to and including its own time, and
 names every PoI counted since the previous upload.
 
-Beacon scans occupy ``[k*interval, k*interval + scan_len)`` and the battery
-percentage is recorded once per interval. Both record kinds ride along
-with the next accelerometer upload.
+With a ``DutyCycleConfig``, beacon scans run at each ``k*beacon_interval``:
+the simulator schedules them and stores their readings with
+``record_beacon_reading``. The battery percentage is sampled at each
+``k*battery_interval``. Both record kinds ride with the first upload at or
+after their capture time, or with the final flush.
 """
 from __future__ import annotations
 
@@ -44,16 +46,12 @@ class UploadPolicy:
 
 @dataclass(frozen=True)
 class DutyCycleConfig:
-    beacon_scan_len: float = 5.0  # s
     beacon_interval: float = 120.0  # s
     battery_interval: float = 120.0  # s
 
     def validate(self) -> "DutyCycleConfig":
-        if not 0 < real(self.beacon_scan_len) < real(self.beacon_interval) < math.inf:
-            raise ConfigError(
-                "beacon_scan_len must lie inside a finite beacon_interval, "
-                f"got {self.beacon_scan_len!r} and {self.beacon_interval!r}"
-            )
+        if not 0 < real(self.beacon_interval) < math.inf:
+            raise ConfigError(f"beacon_interval must be positive and finite, got {self.beacon_interval!r}")
         if not 0 < real(self.battery_interval) < math.inf:
             raise ConfigError(f"battery_interval must be positive and finite, got {self.battery_interval!r}")
         return self
@@ -63,16 +61,18 @@ class DutyCycleConfig:
 class WatchState:
     participant_id: str
     series: AccelSeries | None = None  # trace backing upload payloads
+    duty: DutyCycleConfig | None = None  # None: no battery samples
     poi_times: list[float] = field(default_factory=list)  # inside the quorum window
     unsent_pois: list[float] = field(default_factory=list)  # counted since the last upload
     last_upload_t: float | None = None
     pending_quorum: bool = False
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
-    pending_battery: list[tuple[float, float]] = field(default_factory=list)
     last_now: float = -math.inf
-    _next_scan: int = 0  # next beacon interval index to open
-    _open_scan_stop: float | None = None
-    _next_battery: int = 0
+    _next_battery: int = 0  # index of the first battery sample not yet shipped
+
+    def __post_init__(self):
+        if self.duty is not None:
+            self.duty.validate()
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,6 @@ class UploadPayload:
 @dataclass(frozen=True)
 class Upload:
     payload: UploadPayload
-
-
-@dataclass(frozen=True)
-class BeaconScanStart:
-    t: float
-
-
-@dataclass(frozen=True)
-class BeaconScanStop:
-    t: float
-
-
-@dataclass(frozen=True)
-class BatterySample:
-    t: float
-    percent: float
 
 
 def _check_clock(state: WatchState, now: float):
@@ -127,6 +111,20 @@ def _unsent_samples(state: WatchState, now: float) -> AccelSeries | None:
     return AccelSeries(state.series.rate, t[lo:hi], state.series.xyz[lo:hi])
 
 
+def _battery_due(state: WatchState, now: float) -> bool:
+    return state.duty is not None and state._next_battery * state.duty.battery_interval <= now
+
+
+def _take_battery_samples(state: WatchState, now: float) -> tuple[tuple[float, float], ...]:
+    """The battery samples due by ``now`` and not yet shipped: (t, percent)."""
+    samples = []
+    while _battery_due(state, now):
+        t = state._next_battery * state.duty.battery_interval
+        samples.append((t, max(0.0, BATTERY_START_PERCENT - BATTERY_DRAIN_PER_HOUR * t / 3600.0)))
+        state._next_battery += 1
+    return tuple(samples)
+
+
 def _make_upload(state: WatchState, now: float) -> Upload:
     payload = UploadPayload(
         state.participant_id,
@@ -134,14 +132,13 @@ def _make_upload(state: WatchState, now: float) -> Upload:
         tuple(state.unsent_pois),
         _unsent_samples(state, now),
         tuple(state.pending_beacons),
-        tuple(state.pending_battery),
+        _take_battery_samples(state, now),
     )
     state.last_upload_t = now
     state.pending_quorum = False
     state.poi_times.clear()
     state.unsent_pois.clear()
     state.pending_beacons.clear()
-    state.pending_battery.clear()
     return Upload(payload)
 
 
@@ -172,49 +169,22 @@ def on_poi(state: WatchState, poi_t: float, policy: UploadPolicy, now: float) ->
     return _make_upload(state, now)
 
 
-def on_tick(
-    state: WatchState,
-    now: float,
-    policy: UploadPolicy,
-    duty: DutyCycleConfig | None,
-) -> list[Upload | BeaconScanStart | BeaconScanStop | BatterySample]:
-    """Advance the clock: emits duty-cycle records due by `now`, then any
-    pending upload whose cooldown has expired."""
+def on_tick(state: WatchState, now: float, policy: UploadPolicy) -> Upload | None:
+    """Advance the clock: returns the pending upload once its cooldown has
+    expired."""
     _check_clock(state, now)
-    actions: list[Upload | BeaconScanStart | BeaconScanStop | BatterySample] = []
-
-    if duty is not None:
-        duty.validate()
-        while True:
-            if state._open_scan_stop is not None:
-                if state._open_scan_stop > now:
-                    break
-                actions.append(BeaconScanStop(state._open_scan_stop))
-                state._open_scan_stop = None
-            start = state._next_scan * duty.beacon_interval
-            if start > now:
-                break
-            actions.append(BeaconScanStart(start))
-            state._open_scan_stop = start + duty.beacon_scan_len
-            state._next_scan += 1
-        while state._next_battery * duty.battery_interval <= now:
-            t = state._next_battery * duty.battery_interval
-            pct = max(0.0, BATTERY_START_PERCENT - BATTERY_DRAIN_PER_HOUR * t / 3600.0)
-            actions.append(BatterySample(t, pct))
-            state.pending_battery.append((t, pct))
-            state._next_battery += 1
-
     if state.pending_quorum and _cooldown_over(state, policy, now):
-        actions.append(_make_upload(state, now))
-    return actions
+        return _make_upload(state, now)
+    return None
 
 
 def flush(state: WatchState, now: float) -> Upload | None:
     """Ship what the watch holds at the end of a run: the samples up to
-    ``now``, the PoIs not yet shipped, and the pending records."""
+    ``now``, the PoIs not yet shipped, the pending beacon readings and the
+    battery samples due."""
     _check_clock(state, now)
     samples = _unsent_samples(state, now)
-    pending = state.unsent_pois or state.pending_beacons or state.pending_battery
+    pending = state.unsent_pois or state.pending_beacons or _battery_due(state, now)
     if (samples is not None and len(samples)) or pending:
         return _make_upload(state, now)
     return None

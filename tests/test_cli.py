@@ -288,6 +288,29 @@ class TestSimulate:
         assert "kids" in capsys.readouterr().err
         assert not log.exists()
 
+    @pytest.mark.parametrize("broken", ["missing_trace", "json_weights"])
+    def test_unreadable_input_keeps_earlier_log(self, tmp_path, capsys, broken):
+        trace = tmp_path / "t.csv"
+        synth.write_trace_csv(str(trace), synth.noise_trace(np.random.default_rng(0), 60.0))
+        config = {"home_id": "h1", "participants": [{"id": "p1", "trace": str(trace)}]}
+        cfg_path = tmp_path / "home.json"
+        cfg_path.write_text(json.dumps(config))
+        log = tmp_path / "log.jsonl"
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(log)]
+        assert main(argv) == 0
+        earlier = log.read_bytes()
+        assert earlier
+        if broken == "missing_trace":
+            config["participants"][0]["trace"] = str(tmp_path / "missing.csv")
+        else:
+            weights = tmp_path / "w.json"
+            weights.write_text('{"version": 1, "meta": {"n": 150, "rate": 25.0}}')
+            config["weights"] = str(weights)
+        cfg_path.write_text(json.dumps(config))
+        assert main(argv) == 2
+        assert ("missing.csv" if broken == "missing_trace" else "mfed train") in capsys.readouterr().err
+        assert log.read_bytes() == earlier
+
     @pytest.mark.parametrize(
         "section,typo",
         [
@@ -298,6 +321,7 @@ class TestSimulate:
             ("detector", "xth"),
             ("policy", "quorom"),
             ("duty", "beacon_intrval"),
+            ("duty", "beacon_scan_len"),
             ("beacon", "distance"),
         ],
     )
@@ -360,6 +384,7 @@ class TestSimulate:
             ("detector.window_len", float("inf")),
             ("policy.min_upload_gap", float("nan")),
             ("policy.quorum_window", float("nan")),
+            ("duty.beacon_interval", float("nan")),
             ("duty.battery_interval", float("nan")),
             ("responder.delay_mean_s", float("nan")),
             ("beacons.noise_db", -1),

@@ -17,7 +17,6 @@ from mfed.ema import (
     ScheduleState,
     SendEatingEma,
     SendMoodEma,
-    Skip,
     Stage,
     Suppressed,
     SuppressReason,
@@ -84,11 +83,11 @@ class TestHourlyTick:
         state = ScheduleState()
         on_event_detected(p, event_at(hm(12, 15)), hm(12, 15), state, CLOCK)
         out = hourly_tick(p, hm(12), state, CLOCK)
-        assert out == Skip(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
+        assert out == Suppressed(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
 
     def test_outside_window_skips(self):
         p = participant()
-        assert hourly_tick(p, hm(5), ScheduleState(), CLOCK) == Skip(SuppressReason.OUTSIDE_WINDOW)
+        assert hourly_tick(p, hm(5), ScheduleState(), CLOCK) == Suppressed(SuppressReason.OUTSIDE_WINDOW)
 
     def test_rolling_gap_applies_to_mood(self):
         p = participant()
@@ -96,7 +95,7 @@ class TestHourlyTick:
         on_event_detected(p, event_at(hm(12, 15)), hm(12, 15), state, CLOCK)
         # eating EMA dispatched 12:19; the 13:00 tick is only 41 min later
         out = hourly_tick(p, hm(13), state, CLOCK)
-        assert out == Skip(SuppressReason.RATE_LIMITED)
+        assert out == Suppressed(SuppressReason.RATE_LIMITED)
         assert hourly_tick(p, hm(14), state, CLOCK) == SendMoodEma(hm(14))
 
 

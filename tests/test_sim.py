@@ -1,5 +1,8 @@
 import io
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,11 +124,15 @@ class TestDeterminism:
             assert r["trigger"] == "hourly" or r["trigger"].startswith("event:")
 
     def test_beacon_and_battery_records_present(self):
+        # the default duty cycle: a scan and a battery sample every 120 s
         _, lines, _ = run_to_lines(self._config())
         beacons = records_of(lines, "beacon")
         batteries = records_of(lines, "battery")
-        assert beacons and batteries
-        assert {b["beacon"] for b in beacons} == {"kitchen", "dining"}
+        every_120_s = list(range(0, 3_600_001, 120_000))
+        for beacon in ("kitchen", "dining"):
+            assert sorted(b["t_ms"] for b in beacons if b["beacon"] == beacon) == every_120_s
+        assert len(beacons) == 2 * len(every_120_s)
+        assert sorted(b["t_ms"] for b in batteries) == every_120_s
         assert all(0 <= b["percent"] <= 100 for b in batteries)
 
     def test_classifier_stage_runs_when_weights_given(self, tmp_path):
@@ -160,8 +167,8 @@ def _run_recording(cfg, monkeypatch):
     def recording(fn):
         def wrapper(*args):
             result = fn(*args)
-            items = result if isinstance(result, list) else [result]
-            uploads.extend(item.payload for item in items if isinstance(item, watch.Upload))
+            if isinstance(result, watch.Upload):
+                uploads.append(result.payload)
             return result
 
         return wrapper
@@ -318,6 +325,52 @@ class TestUploadedData:
         assert shipped == 2000 * 25 + 1  # every sample up to and including t = 2000 s
 
 
+class TestDutyCycle:
+    """Beacon readings and battery samples ride with the watch's uploads."""
+
+    @given(
+        battery_interval=st.integers(5, 200),
+        beacon_interval=st.integers(10, 300),
+        quorum=st.integers(1, 5),
+        quorum_window=st.floats(5.0, 200.0),
+        min_upload_gap=st.integers(0, 90),
+        spacing=st.floats(2.5, 30.0),
+        count=st.integers(3, 16),
+    )
+    @example(battery_interval=30, beacon_interval=120, quorum=4, quorum_window=120.0,
+             min_upload_gap=40, spacing=10.0, count=12)
+    @settings(max_examples=40, deadline=None)
+    def test_records_ship_with_first_upload_at_or_after_capture(
+        self, battery_interval, beacon_interval, quorum, quorum_window, min_upload_gap, spacing, count
+    ):
+        # whole-second intervals and gaps keep every upload and capture time
+        # exact in milliseconds
+        gestures = [30.0 + spacing * i for i in range(count)]
+        policy = watch.UploadPolicy(quorum, quorum_window, float(min_upload_gap))
+        duty = watch.DutyCycleConfig(
+            beacon_interval=float(beacon_interval), battery_interval=float(battery_interval)
+        )
+        cfg = _home(gestures, policy, duty=duty, beacons=(sim.BeaconSpec("kitchen"),))
+        _, lines, _ = run_to_lines(cfg)
+        uploads = []  # t_ms of each upload, the final flush last
+        shipped = {"beacon": [], "battery": []}  # (capture t_ms, index of the shipping upload)
+        for r in lines:
+            if r["kind"] == "upload":
+                uploads.append(r["t_ms"])
+            elif r["kind"] in shipped:
+                shipped[r["kind"]].append((r["t_ms"], len(uploads) - 1))
+        for kind, records in shipped.items():
+            for t, i in records:
+                assert i == next(j for j, u in enumerate(uploads) if u >= t), (kind, t, uploads)
+        end = cfg.participants[0].series.duration
+        for kind, interval in (("beacon", beacon_interval), ("battery", battery_interval)):
+            captures = [1000 * interval * k for k in range(int(end // interval) + 1)]
+            assert sorted(t for t, _ in shipped[kind]) == captures, kind
+
+        _, quiet, _ = run_to_lines(replace(cfg, duty=None))
+        assert records_of(quiet, "beacon") == records_of(quiet, "battery") == []
+
+
 def shared_meal_home(meal_t=60.0, c_responds=False, b_who=("spouse_partner",), d_who=("mother", "brothers")):
     """Four family members eat together; A's watch misses the meal."""
     gestures = [meal_t + 20.0 * i for i in range(6)]
@@ -442,6 +495,15 @@ class TestConfigValidation:
         assert cfg.participants[0].responder.who_with == ("mother",)
         summary, lines, _ = run_to_lines(cfg)
         assert summary["records"] == len(lines)
+
+    def test_readme_home_config_loads(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"\*\*Home config JSON\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "home.json"
+        path.write_text(block)
+        cfg = sim.load_home_config(str(path))  # the traces it names are not opened
+        assert cfg.duty == watch.DutyCycleConfig()
+        assert [s.participant.id for s in cfg.participants] == ["mom"]
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.json"

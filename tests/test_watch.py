@@ -1,14 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from mfed.errors import ClockRegression, ConfigError
 from mfed.signal_core import AccelSeries
 from mfed.watch import (
-    BatterySample,
-    BeaconScanStart,
-    BeaconScanStop,
     DutyCycleConfig,
     Upload,
     UploadPolicy,
@@ -56,10 +51,10 @@ class TestOnPoi:
         for t in (100.0, 105.0, 110.0, 115.0):
             assert on_poi(state, t, POLICY, t) is None
         assert state.pending_quorum
-        assert on_tick(state, 149.9, POLICY, None) == []
-        actions = on_tick(state, 150.0, POLICY, None)
-        assert len(actions) == 1 and isinstance(actions[0], Upload)
-        assert actions[0].payload.span == (90.0, 150.0)
+        assert on_tick(state, 149.9, POLICY) is None
+        upload = on_tick(state, 150.0, POLICY)
+        assert isinstance(upload, Upload)
+        assert upload.payload.span == (90.0, 150.0)
 
     def test_tick_at_scheduled_time_ends_cooldown(self):
         # the simulator ticks at last_upload_t + min_upload_gap; here
@@ -68,8 +63,7 @@ class TestOnPoi:
         state = WatchState("p1", series=series())
         assert on_poi(state, 44.04, policy, 44.04) is not None
         assert on_poi(state, 50.0, policy, 50.0) is None and state.pending_quorum
-        actions = on_tick(state, 44.04 + 43.0, policy, None)
-        assert len(actions) == 1 and isinstance(actions[0], Upload)
+        assert isinstance(on_tick(state, 44.04 + 43.0, policy), Upload)
 
     def test_clock_regression(self):
         state = WatchState("p1")
@@ -84,40 +78,24 @@ class TestOnPoi:
 
 class TestOnTick:
     def test_duty_cycle_schedule(self):
-        state = WatchState("p1")
-        duty = DutyCycleConfig()
-        actions = []
-        for t in range(300):
-            actions.extend(on_tick(state, float(t), POLICY, duty))
-        starts = [a.t for a in actions if isinstance(a, BeaconScanStart)]
-        stops = [a.t for a in actions if isinstance(a, BeaconScanStop)]
-        batteries = [a for a in actions if isinstance(a, BatterySample)]
-        assert starts == [0.0, 120.0, 240.0]
-        assert stops == [5.0, 125.0, 245.0]
-        assert len(batteries) == 3
-        assert batteries[0].percent == 100.0
+        # a battery sample ships with the first upload at or after its time
+        state = WatchState("p1", series=series(), duty=DutyCycleConfig())
+        policy = UploadPolicy(quorum=1, min_upload_gap=0.0)
+        shipped = [on_poi(state, t, policy, t).payload.battery_samples for t in (0.0, 100.0, 250.0)]
+        shipped.append(flush(state, 300.0).payload.battery_samples)
+        # 1.5 percentage points an hour from a full battery
+        assert shipped == [
+            ((0.0, 100.0),), (), ((120.0, pytest.approx(99.95)), (240.0, pytest.approx(99.9))), ()
+        ]
+
+    def test_duty_validation(self):
+        with pytest.raises(ConfigError):
+            WatchState("p1", duty=DutyCycleConfig(battery_interval=0.0))
 
     def test_disabled_duty_is_silent(self):
         state = WatchState("p1")
-        assert on_tick(state, 100.0, POLICY, None) == []
-
-    def test_scan_windows_never_overlap(self):
-        state = WatchState("p1")
-        duty = DutyCycleConfig(beacon_scan_len=5.0, beacon_interval=30.0)
-        actions = []
-        for t in np.arange(0.0, 301.0, 0.5):
-            actions.extend(on_tick(state, float(t), POLICY, duty))
-        spans = []
-        current = None
-        for a in actions:
-            if isinstance(a, BeaconScanStart):
-                assert current is None
-                current = a.t
-            elif isinstance(a, BeaconScanStop):
-                spans.append((current, a.t))
-                current = None
-        assert all(b0 >= a1 for (_, a1), (b0, _) in zip(spans, spans[1:]))
-        assert len(spans) == 10
+        assert on_tick(state, 100.0, POLICY) is None
+        assert flush(state, 100.0) is None
 
 
 class TestPayloadConservation:
@@ -134,8 +112,9 @@ class TestPayloadConservation:
             result = on_poi(state, t, POLICY, t)
             if result is not None:
                 payloads.append(result.payload)
-            for action in on_tick(state, t, POLICY, None):
-                payloads.append(action.payload)
+            result = on_tick(state, t, POLICY)
+            if result is not None:
+                payloads.append(result.payload)
         final = flush(state, 1200.0)
         if final is not None:
             payloads.append(final.payload)
@@ -154,7 +133,7 @@ class TestPayloadConservation:
             result = on_poi(state, t, POLICY, t)
             if result is not None:
                 upload_times.append(t)
-            for _a in on_tick(state, t, POLICY, None):
+            if on_tick(state, t, POLICY) is not None:
                 upload_times.append(t)
         gaps = np.diff(upload_times)
         assert np.all(gaps >= POLICY.min_upload_gap)
@@ -183,8 +162,7 @@ class TestPayloadConservation:
                 if state.pending_quorum and burst_at is None:
                     burst_at = t
             if burst_at is not None:
-                actions = on_tick(state, burst_at + POLICY.min_upload_gap, POLICY, None)
-                uploads += sum(isinstance(a, Upload) for a in actions)
+                uploads += isinstance(on_tick(state, burst_at + POLICY.min_upload_gap, POLICY), Upload)
                 assert uploads >= 1
 
     def test_beacon_records_ride_next_upload(self):
@@ -194,6 +172,11 @@ class TestPayloadConservation:
             result = on_poi(state, t, POLICY, t)
         assert result.payload.beacon_readings == ((2.0, "kitchen", -61.5),)
         assert state.pending_beacons == []
+
+    def test_flush_ships_due_battery_samples(self):
+        state = WatchState("p1", duty=DutyCycleConfig(battery_interval=30.0))
+        assert [t for t, _ in flush(state, 75.0).payload.battery_samples] == [0.0, 30.0, 60.0]
+        assert flush(state, 89.0) is None
 
     def test_flush_covers_tail(self):
         state = WatchState("p1", series=series(duration=10.0))
