@@ -27,11 +27,12 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, FormatError, InsufficientData, ShapeError, real
+from .errors import FormatError, InsufficientData, ShapeError, check_fields
 from .signal_core import GestureWindow, Label
 
 logger = logging.getLogger(__name__)
@@ -261,26 +262,15 @@ def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
-    learning_rate: float = 0.05
-    batch_size: int = 16
-    seed: int = 0
-
-    def validate(self) -> "TrainConfig":
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < real(self.learning_rate) < math.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if type(self.seed) is not int or self.seed < 0:  # numpy rejects a negative seed mid-run
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        return self
+    epochs: Annotated[int, "[1, inf)"] = 50
+    learning_rate: Annotated[float, "(0, inf)"] = 0.05
+    batch_size: Annotated[int, "[1, inf)"] = 16
+    seed: Annotated[int, "[0, inf)"] = 0  # numpy rejects a negative seed mid-run
+    __post_init__ = check_fields
 
 
 def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> ModelWeights:
     """Mini-batch SGD over the labeled windows; ambiguous entries dropped."""
-    cfg.validate()
     used = [d for d in data if d.label is not Label.AMBIGUOUS]
     pos = sum(1 for d in used if d.label is Label.POSITIVE)
     neg = len(used) - pos

@@ -112,8 +112,7 @@ def _out_fh(path: str | None):
 
 def _load_inputs(args):
     series = traceio.load_trace(args.trace, args.rate)
-    cfg = DetectorConfig(x_th=args.xth, v_th=args.vth).validate()
-    return series, cfg
+    return series, DetectorConfig(x_th=args.xth, v_th=args.vth)
 
 
 def _cmd_detect(args) -> int:
@@ -137,9 +136,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_train(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
-    series = traceio.load_trace(args.trace, args.rate)
+    series, cfg = _load_inputs(args)
     annotations = traceio.load_annotations(args.annotations)
-    cfg = DetectorConfig(x_th=args.xth, v_th=args.vth).validate()
     smoothed = smooth(series, cfg.smooth_len)
     data = []
     for poi in detect_pois(smoothed, cfg):

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome
+from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields
 from .events import EatingEvent
 
 EMA_MIN_GAP = 3600.0  # s between any two EMAs to one participant
@@ -55,9 +55,10 @@ class Participant:
     window: tuple[float, float] = (0.0, 24.0)  # local clock hours, start < end
 
     def __post_init__(self):
+        check_fields(self)
         lo, hi = self.window
         if not 0 <= lo < hi <= 24:
-            raise ConfigError(f"participation window {self.window} must satisfy 0 <= start < end <= 24")
+            raise ConfigError(f"window must satisfy 0 <= start < end <= 24, got {self.window}")
 
 
 class SurveyKind(Enum):

@@ -118,7 +118,7 @@ def threshold_sweep(
     rows = []
     for x_th in x_th_list:
         for v_th in v_th_list:
-            c = DetectorConfig().with_thresholds(x_th, v_th)
+            c = DetectorConfig(x_th=x_th, v_th=v_th)
             times, n_pois = detect_gesture_times(series, c, weights)
             m = match_gestures(times, annotations, tolerance)
             rows.append(SweepRow(x_th, v_th, n_pois / minutes, m.precision, m.recall, m.f1))

@@ -13,13 +13,14 @@ independently; candidate windows never straddle a dropout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, WindowOutOfBounds, real
+from .errors import ConfigError, WindowOutOfBounds, check_fields, real
 
 MAX_JITTER_FACTOR = 1.5
 
@@ -69,27 +70,12 @@ class AccelSeries:
 class DetectorConfig:
     """Thresholds and window geometry for the PoI detector."""
 
-    x_th: float = -3.0  # m/s^2, peaks at or below pass
-    v_th: float = 1.0  # (m/s^2)^2, summed variance must exceed
-    peak_min_gap: float = 2.0  # s, peaks closer than this are suppressed
-    window_len: float = 6.0  # s, variance/extraction window
-    smooth_len: float = 1.0  # s, moving-average width (0 disables)
-
-    def validate(self) -> "DetectorConfig":
-        if not real(self.x_th) < 0:
-            raise ConfigError(f"x_th must be negative, got {self.x_th!r}")
-        if not real(self.v_th) >= 0:
-            raise ConfigError(f"v_th must be non-negative, got {self.v_th!r}")
-        if not 0 < real(self.peak_min_gap) < math.inf:
-            raise ConfigError(f"peak_min_gap must be positive and finite, got {self.peak_min_gap!r}")
-        if not 0 < real(self.window_len) < math.inf:
-            raise ConfigError(f"window_len must be positive and finite, got {self.window_len!r}")
-        if not 0 <= real(self.smooth_len) < math.inf:
-            raise ConfigError(f"smooth_len must be non-negative and finite, got {self.smooth_len!r}")
-        return self
-
-    def with_thresholds(self, x_th: float, v_th: float) -> "DetectorConfig":
-        return replace(self, x_th=x_th, v_th=v_th).validate()
+    x_th: Annotated[float, "[-inf, 0)"] = -3.0  # m/s^2, peaks at or below pass
+    v_th: Annotated[float, "[0, inf]"] = 1.0  # (m/s^2)^2, summed variance must exceed
+    peak_min_gap: Annotated[float, "(0, inf)"] = 2.0  # s, peaks closer than this are suppressed
+    window_len: Annotated[float, "(0, inf)"] = 6.0  # s, variance/extraction window
+    smooth_len: Annotated[float, "[0, inf)"] = 1.0  # s, moving-average width (0 disables)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -165,7 +151,6 @@ def detect_pois(series: AccelSeries, cfg: DetectorConfig) -> list[Poi]:
     ``x_th``, above ``v_th`` in summed window variance, and their windows
     lie fully inside one contiguous segment.
     """
-    cfg.validate()
     _, left, right = window_extent(cfg.window_len, series.rate)
     pois: list[Poi] = []
     for lo, hi in split_segments(series):

@@ -21,6 +21,10 @@ upload at or after their capture time, or with the final flush.
 Everything is logged as one JSONL record per occurrence, ordered by
 emission time; beacon and battery records follow the upload that shipped
 them and carry their original capture times.
+
+Each config dataclass checks its typed, bounded fields when built, so a
+config that exists is valid; ``load_home_config`` builds each JSON section
+into one, naming the key path of an unknown key or a bad value.
 """
 from __future__ import annotations
 
@@ -29,173 +33,134 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import Annotated, Any, get_args, get_origin
 
 import numpy as np
 
 from . import classifier, ema, events, traceio, watch
-from .errors import ConfigError, InvalidAnswer, real
+from .errors import ConfigError, InvalidAnswer, check_fields, field_hints
 from .signal_core import AccelSeries, DetectorConfig, decision_time, detect_pois, extract_window, smooth
 
 
 @dataclass(frozen=True)
 class BeaconSpec:
     id: str
-    distance_m: float = 3.0
-    tx_power_dbm: float = -59.0
-    path_loss_exp: float = 2.0
-    noise_db: float = 2.0
-
-    def validate(self) -> "BeaconSpec":
-        if not isinstance(self.id, str):
-            raise ConfigError(f"beacon id must be a string, got {self.id!r}")
-        if not 0 <= real(self.distance_m) < math.inf:
-            raise ConfigError(f"distance_m must be >= 0 and finite, got {self.distance_m!r}")
-        if not -math.inf < real(self.tx_power_dbm) < math.inf:
-            raise ConfigError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
-        if not 0 <= real(self.path_loss_exp) < math.inf:
-            raise ConfigError(f"path_loss_exp must be >= 0 and finite, got {self.path_loss_exp!r}")
-        if not 0 <= real(self.noise_db) < math.inf:
-            raise ConfigError(f"noise_db must be >= 0 and finite, got {self.noise_db!r}")
-        return self
+    distance_m: Annotated[float, "[0, inf)"] = 3.0
+    tx_power_dbm: Annotated[float, "(-inf, inf)"] = -59.0
+    path_loss_exp: Annotated[float, "[0, inf)"] = 2.0
+    noise_db: Annotated[float, "[0, inf)"] = 2.0
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ResponderProfile:
-    response_prob: float = 1.0
-    delay_mean_s: float = 120.0
+    response_prob: Annotated[float, "[0, 1]"] = 1.0
+    delay_mean_s: Annotated[float, "(0, inf)"] = 120.0
     truthful: bool = True
     who_with: tuple[str, ...] = ()
     eating_type: str = "meal"
 
-    def validate(self) -> "ResponderProfile":
-        if not 0 <= real(self.response_prob) <= 1:
-            raise ConfigError(f"response_prob must be in [0, 1], got {self.response_prob!r}")
-        if not 0 < real(self.delay_mean_s) < math.inf:
-            raise ConfigError(f"delay_mean_s must be positive and finite, got {self.delay_mean_s!r}")
+    def __post_init__(self):
+        check_fields(self)
         try:
             ema.validate_who_with(frozenset(self.who_with))
         except InvalidAnswer as e:
-            raise ConfigError(f"responder who_with: {e}") from e
+            raise ConfigError(f"who_with: {e}") from e
         if self.eating_type not in ema.EATING_TYPES:
             raise ConfigError(f"eating_type must be one of {ema.EATING_TYPES}, got {self.eating_type!r}")
-        return self
 
 
 @dataclass(frozen=True)
 class ParticipantSpec:
     participant: ema.Participant
-    trace: str | None = None
-    annotations: str | None = None
+    trace: Annotated[str, "non-empty"] | None = None
+    annotations: Annotated[str, "non-empty"] | None = None
     responder: ResponderProfile = ResponderProfile()
     series: AccelSeries | None = None  # programmatic alternative to trace
     annotation_times: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.trace is None and self.series is None:
+            raise ConfigError(f"trace must name the trace of participant {self.participant.id}, got None")
 
 
 @dataclass(frozen=True)
 class HomeConfig:
     home_id: str
-    participants: tuple[ParticipantSpec, ...]
+    participants: Annotated[tuple[ParticipantSpec, ...], "non-empty"]
     beacons: tuple[BeaconSpec, ...] = ()
     detector: DetectorConfig = DetectorConfig()
     policy: watch.UploadPolicy = watch.UploadPolicy()
     duty: watch.DutyCycleConfig | None = watch.DutyCycleConfig()
-    weights: str | None = None
-    seed: int = 0
-    rate: float = 25.0
-    start_hour: float = 0.0
-    duration: float | None = None
-    ema_ttl: float = 1800.0
-    decision_threshold: float = classifier.DECISION_THRESHOLD
+    weights: Annotated[str, "non-empty"] | None = None
+    seed: Any = 0  # checked by with_run_seed, since --seed or MFED_SEED may replace it
+    rate: Annotated[float, "(0, inf)"] = 25.0
+    start_hour: Annotated[float, "[0, 24)"] = 0.0
+    duration_s: Annotated[float, "(0, inf)"] | None = None
+    ema_ttl_s: Annotated[float, "(1, inf]"] = 1800.0
+    decision_threshold: Annotated[float, "[0, 1]"] = classifier.DECISION_THRESHOLD
 
-    def validate(self) -> "HomeConfig":
-        if not self.participants:
-            raise ConfigError("a home needs at least one participant")
+    def __post_init__(self):
+        check_fields(self)
         ids = [s.participant.id for s in self.participants]
         if len(set(ids)) != len(ids):
-            raise ConfigError(f"participant ids must be unique, got {ids}")
-        self.detector.validate()
-        self.policy.validate()
-        if self.duty is not None:
-            self.duty.validate()
-        for beacon in self.beacons:
-            beacon.validate()
-        for spec in self.participants:
-            spec.responder.validate()
-            if spec.trace is None and spec.series is None:
-                raise ConfigError(f"participant {spec.participant.id} has no trace")
-        # named by their home-config keys; NaN and non-numbers fail every comparison
-        if not 0 < real(self.rate) < math.inf:
-            raise ConfigError(f"rate must be positive and finite, got {self.rate!r}")
-        if self.duration is not None and not 0 < real(self.duration) < math.inf:
-            raise ConfigError(f"duration_s must be positive and finite, got {self.duration!r}")
-        if not 0 <= real(self.start_hour) < 24:
-            raise ConfigError(f"start_hour must be an hour of the day in [0, 24), got {self.start_hour!r}")
-        if not 1 < real(self.ema_ttl):
-            raise ConfigError(f"ema_ttl_s must be more than 1 s, got {self.ema_ttl!r}")
-        if not 0 <= real(self.decision_threshold) <= 1:
-            raise ConfigError(f"decision_threshold must be a number in [0, 1], got {self.decision_threshold!r}")
-        return self
+            raise ConfigError(f"participants must have unique ids, got {ids}")
 
 
-# the JSON keys of a home config, and of each of its participants
-_HOME_KEYS = frozenset({
-    "home_id", "participants", "beacons", "detector", "policy", "duty", "weights", "seed",
-    "rate", "start_hour", "duration_s", "ema_ttl_s", "decision_threshold",
-})
-_PARTICIPANT_KEYS = frozenset({"id", "role", "window", "trace", "annotations", "responder"})
-_RENAMED = {"duration_s": "duration", "ema_ttl_s": "ema_ttl"}  # JSON key -> HomeConfig field
+def _value(hint, value, path: str):
+    """``value`` as a field annotated ``hint`` holds it: lists become tuples,
+    roles ``ema.Role``s, and objects the config dataclass the hint names."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return value
+        return tuple(_value(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint is ema.Role:
+        return next((role for role in ema.Role if role.value == value), value)
+    config = next((h for h in (hint, *get_args(hint)) if is_dataclass(h)), None)
+    optional = value is None and type(None) in get_args(hint)
+    return value if config is None or optional else _build(config, value, path)
 
 
-def _reject_unknown(section: dict, known: frozenset, where: str):
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+def _build(cls, section, path: str = "", also=(), **given):
+    """``cls`` from the JSON object ``section`` at key path ``path``, whose
+    keys are the fields of ``cls`` not ``given``, and ``also``: keys another
+    class reads. A ConfigError names the key path at fault."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path or 'the config'} must be a JSON object, got {section!r}")
+    prefix, hints = f"{path}." if path else "", field_hints(cls)
+    known = hints.keys() - given.keys()
+    unknown = sorted(section.keys() - known - set(also))
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name in known - section.keys()]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"{problem} key(s): {', '.join(prefix + k for k in keys)}")
+    values = {k: _value(hints[k], v, prefix + k) for k, v in section.items() if k in known}
+    try:
+        return cls(**values, **given)
+    except ConfigError as e:  # a given value is named by the caller's key
+        raise ConfigError(str(e) if str(e).split()[0] in given else prefix + str(e)) from e
 
 
 def load_home_config(path: str) -> HomeConfig:
-    """Read the JSON home-config file (schema documented in the README).
-
-    Omitted keys take the dataclass defaults; an unknown key is an error.
-    """
+    """Read the JSON home-config file (schema documented in the README): its
+    keys are config dataclass fields, and a left-out key takes the default."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
-    try:
-        _reject_unknown(doc, _HOME_KEYS, "config")
-        specs = []
-        for p in doc["participants"]:
-            _reject_unknown(p, _PARTICIPANT_KEYS, "participant")
-            resp = dict(p.get("responder", {}))
-            if "who_with" in resp:
-                resp["who_with"] = tuple(resp["who_with"])
-            specs.append(
-                ParticipantSpec(
-                    participant=ema.Participant(
-                        id=p["id"],
-                        home_id=doc["home_id"],
-                        role=ema.Role(p.get("role", "other")),
-                        window=tuple(p.get("window", (0.0, 24.0))),
-                    ),
-                    trace=p["trace"],
-                    annotations=p.get("annotations"),
-                    responder=ResponderProfile(**resp),
-                )
-            )
-        duty = doc.get("duty", {})
-        fields = {_RENAMED.get(k, k): v for k, v in doc.items()}
-        fields.update(
-            participants=tuple(specs),
-            beacons=tuple(BeaconSpec(**b) for b in doc.get("beacons", ())),
-            detector=DetectorConfig(**doc.get("detector", {})),
-            policy=watch.UploadPolicy(**doc.get("policy", {})),
-            duty=None if duty is None else watch.DutyCycleConfig(**duty),
-        )
-        return HomeConfig(**fields).validate()
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"config is malformed: {e}") from e
+    people = doc.get("participants") if isinstance(doc, dict) else []  # _build names a non-object
+    if not isinstance(people, list):
+        raise ConfigError(f"participants must be a list of objects, got {people!r}")
+    specs = []
+    for i, p in enumerate(people):  # fills an ema.Participant, then a ParticipantSpec that names unknown keys
+        path, section = f"participants[{i}]", {"role": "other", **p} if isinstance(p, dict) else p
+        person = _build(ema.Participant, section, path, also=p, home_id=doc.get("home_id"))
+        specs.append(_build(ParticipantSpec, p, path, also=field_hints(ema.Participant).keys() - {"home_id"},
+                            participant=person, series=None, annotation_times=None))
+    return _build(HomeConfig, doc, also=["participants"], participants=tuple(specs))
 
 
 def _ms(t: float) -> int:
@@ -237,7 +202,7 @@ class HomeSimulation:
     ``run`` writes any of the log."""
 
     def __init__(self, config: HomeConfig):
-        self.cfg = config.validate()
+        self.cfg = config
         self.log_fh = None  # set by run
         self.clock = ema.LocalClock(config.start_hour)
         self.weights = classifier.load_weights(config.weights) if config.weights else None
@@ -245,7 +210,7 @@ class HomeSimulation:
             _Node(spec, config, np.random.default_rng([config.seed, i]))
             for i, spec in enumerate(config.participants)
         ]
-        self.duration = config.duration or max(n.series.duration for n in self.nodes)
+        self.duration = config.duration_s or max(n.series.duration for n in self.nodes)
         self.heap: list[tuple[float, int, str, _Node, object]] = []  # seq breaks ties
         self.seq = itertools.count()
         self.records = 0
@@ -406,10 +371,10 @@ class HomeSimulation:
         )
         profile = node.spec.responder
         if node.rng.random() < profile.response_prob:
-            delay = min(self.cfg.ema_ttl - 1.0, max(5.0, node.rng.exponential(profile.delay_mean_s)))
+            delay = min(self.cfg.ema_ttl_s - 1.0, max(5.0, node.rng.exponential(profile.delay_mean_s)))
             self._push(t + delay, "ema_answer", node, survey)
         else:
-            self._push(t + self.cfg.ema_ttl, "ema_expire", node, survey)
+            self._push(t + self.cfg.ema_ttl_s, "ema_expire", node, survey)
 
     def _answers(self, node: _Node, survey: ema.EmaSurvey):
         """Responder agent: drive the flow to Terminal, truthfully when asked."""

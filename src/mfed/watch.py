@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ClockRegression, ConfigError, real
+from .errors import ClockRegression, check_fields
 from .signal_core import AccelSeries
 
 BATTERY_START_PERCENT = 100.0
@@ -30,31 +31,17 @@ BATTERY_DRAIN_PER_HOUR = 1.5  # percentage points
 
 @dataclass(frozen=True)
 class UploadPolicy:
-    quorum: int = 4
-    quorum_window: float = 120.0  # s
-    min_upload_gap: float = 60.0  # s
-
-    def validate(self) -> "UploadPolicy":
-        if not real(self.quorum) >= 1:
-            raise ConfigError(f"quorum must be >= 1, got {self.quorum!r}")
-        if not 0 < real(self.quorum_window) < math.inf:
-            raise ConfigError(f"quorum_window must be positive and finite, got {self.quorum_window!r}")
-        if not 0 <= real(self.min_upload_gap) < math.inf:
-            raise ConfigError(f"min_upload_gap must be >= 0 and finite, got {self.min_upload_gap!r}")
-        return self
+    quorum: Annotated[int, "[1, inf)"] = 4
+    quorum_window: Annotated[float, "(0, inf)"] = 120.0  # s
+    min_upload_gap: Annotated[float, "[0, inf)"] = 60.0  # s
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class DutyCycleConfig:
-    beacon_interval: float = 120.0  # s
-    battery_interval: float = 120.0  # s
-
-    def validate(self) -> "DutyCycleConfig":
-        if not 0 < real(self.beacon_interval) < math.inf:
-            raise ConfigError(f"beacon_interval must be positive and finite, got {self.beacon_interval!r}")
-        if not 0 < real(self.battery_interval) < math.inf:
-            raise ConfigError(f"battery_interval must be positive and finite, got {self.battery_interval!r}")
-        return self
+    beacon_interval: Annotated[float, "(0, inf)"] = 120.0  # s
+    battery_interval: Annotated[float, "(0, inf)"] = 120.0  # s
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -69,10 +56,6 @@ class WatchState:
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
     last_now: float = -math.inf
     _next_battery: int = 0  # index of the first battery sample not yet shipped
-
-    def __post_init__(self):
-        if self.duty is not None:
-            self.duty.validate()
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,6 @@ def _cooldown_over(state: WatchState, policy: UploadPolicy, now: float) -> bool:
 def on_poi(state: WatchState, poi_t: float, policy: UploadPolicy, now: float) -> Upload | None:
     """Count one PoI at ``now``, its decision time; returns an Upload when
     the quorum rule fires."""
-    policy.validate()
     if now < poi_t:
         raise ClockRegression(f"poi at {poi_t} is ahead of now={now}")
     _check_clock(state, now)

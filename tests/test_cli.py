@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -422,3 +423,76 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(log), *argv]) == 2
         assert key.split(".")[-1] in capsys.readouterr().err
         assert not log.exists()
+
+    @staticmethod
+    def _simulate_config(tmp_path, capsys, config):
+        """Exit code and stderr of `mfed simulate` on ``config``; the log must not be opened."""
+        cfg_path = tmp_path / "home.json"
+        cfg_path.write_text(json.dumps(config))
+        log = tmp_path / "log.jsonl"
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(log)])
+        assert not log.exists()
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def _probe_config(tmp_path):
+        trace = tmp_path / "t.csv"
+        synth.write_trace_csv(str(trace), synth.noise_trace(np.random.default_rng(0), 60.0))
+        participant = {"id": "p1", "trace": str(trace), "responder": {"response_prob": 0.5}}
+        return {
+            "home_id": "h1",
+            "participants": [participant],
+            "detector": {"x_th": -2.0},
+            "policy": {"quorum": 3},
+            "duty": {"beacon_interval": 60.0},
+            "beacons": [{"id": "kitchen"}],
+        }
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("participants[0].id", 7),
+            ("home_id", 5),
+            ("participants[0].responder.truthful", "no"),
+            ("policy.quorum", 2.5),
+            ("participants[0].trace", 7),
+            ("participants[0].trace", 0),
+            ("weights", 7),
+            ("weights", ""),
+            ("weights", False),
+            ("participants[0].annotations", 0),
+            ("participants[0].annotations", ""),
+            ("participants[0]", 5),
+            ("participants[0].responder", 5),
+            ("beacons[0]", 5),
+            ("detector", []),
+            ("participants[0].responder.who_with", 5),
+            ("participants[0].responder.who_with", "children"),
+            ("participants[0].role", 3),
+            ("participants[0].window", [6, 22, 3]),
+            ("participants[0].window", "ab"),
+        ],
+    )
+    def test_wrong_typed_value_exits_2_naming_key_path(self, tmp_path, capsys, path, value):
+        config = self._probe_config(tmp_path)
+        *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+        section = config
+        for k in parents:
+            section = section[k]
+        section[last] = value
+        code, err = self._simulate_config(tmp_path, capsys, config)
+        assert code == 2
+        assert err.startswith(f"error: {path} ")
+
+    @pytest.mark.parametrize(
+        "section", ["participants[0]", "participants[0].responder", "beacons[0]", "detector", "policy", "duty"]
+    )
+    def test_every_unknown_key_listed_with_its_path(self, tmp_path, capsys, section):
+        config = self._probe_config(tmp_path)
+        target = config
+        for k in re.findall(r"[^.\[\]]+", section):
+            target = target[int(k) if k.isdigit() else k]
+        target.update(zz_first=1, zz_second=2)
+        code, err = self._simulate_config(tmp_path, capsys, config)
+        assert code == 2
+        assert err.startswith(f"error: unknown key(s): {section}.zz_first, {section}.zz_second\n")

@@ -1,12 +1,14 @@
 import io
 import json
+import math
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import synth
@@ -14,7 +16,7 @@ from mfed import classifier, ema, events, sim, watch
 from mfed.cli import main as cli_main
 from mfed.errors import ConfigError
 from mfed.signal_core import (
-    AccelSeries, detect_pois, extract_window, smooth, smooth_width, window_extent,
+    AccelSeries, DetectorConfig, detect_pois, extract_window, smooth, smooth_width, window_extent,
 )
 
 
@@ -314,7 +316,7 @@ class TestUploadedData:
             annotation_times=tuple(gestures),
         )
         cfg = sim.HomeConfig(
-            home_id="h1", participants=(spec,), seed=7, start_hour=9.0, duration=2000.0
+            home_id="h1", participants=(spec,), seed=7, start_hour=9.0, duration_s=2000.0
         )
         _, lines, _ = run_to_lines(cfg)
         assert records_of(lines, "gesture")
@@ -402,8 +404,8 @@ def shared_meal_home(meal_t=60.0, c_responds=False, b_who=("spouse_partner",), d
         duty=None,
         seed=11,
         start_hour=11.8,  # first hourly tick lands after the eating EMAs
-        duration=duration,
-        ema_ttl=600.0,  # short enough that expiries land inside the run
+        duration_s=duration,
+        ema_ttl_s=600.0,  # short enough that expiries land inside the run
     )
 
 
@@ -443,15 +445,78 @@ class TestSharedMealScenario:
         assert any(r["missed_detection"] for r in hourly)
 
 
+def _readme_home_config() -> str:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    return re.search(r"\*\*Home config JSON\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
+
+
+def _config_slots(node, path=""):
+    """(key path, container, key) of each value an object key names, and of
+    each object in a list; the items of a list of scalars are not slots."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(node) if isinstance(v, dict)]
+    else:
+        items = []
+    for p, k, v in items:
+        yield p, node, k
+        yield from _config_slots(v, p)
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _one_person_home(**fields):
+    return sim.HomeConfig(home_id="h", participants=(flat_spec(),), **fields)
+
+
 class TestConfigValidation:
     def test_duplicate_participant_ids(self):
         spec = flat_spec()
         with pytest.raises(ConfigError):
-            sim.HomeConfig(home_id="h", participants=(spec, spec)).validate()
+            sim.HomeConfig(home_id="h", participants=(spec, spec))
 
     def test_requires_participants(self):
         with pytest.raises(ConfigError):
-            sim.HomeConfig(home_id="h", participants=()).validate()
+            sim.HomeConfig(home_id="h", participants=())
+
+    @pytest.mark.parametrize(
+        "make,fields,ok",
+        [
+            # the infinite ends each bound has always let through, and those it has not
+            (DetectorConfig, {"x_th": -math.inf}, True),
+            (DetectorConfig, {"v_th": math.inf}, True),
+            (DetectorConfig, {"peak_min_gap": math.inf}, False),
+            (DetectorConfig, {"smooth_len": math.inf}, False),
+            (sim.BeaconSpec, {"id": "b", "tx_power_dbm": -math.inf}, False),
+            (sim.BeaconSpec, {"id": "b", "noise_db": math.inf}, False),
+            (watch.DutyCycleConfig, {"battery_interval": math.inf}, False),
+            (classifier.TrainConfig, {"learning_rate": math.inf}, False),
+            (_one_person_home, {"ema_ttl_s": math.inf}, True),
+            (_one_person_home, {"rate": math.inf}, False),
+            # a float field takes any real number, an int field only an int, neither a bool
+            (watch.UploadPolicy, {"quorum_window": 120, "min_upload_gap": np.float32(1.5)}, True),
+            (watch.UploadPolicy, {"quorum": 2.0}, False),
+            (watch.UploadPolicy, {"quorum": True}, False),
+            (watch.UploadPolicy, {"min_upload_gap": False}, False),
+            (classifier.TrainConfig, {"epochs": 1, "batch_size": 1, "seed": 0}, True),
+            (classifier.TrainConfig, {"seed": -1}, False),
+            (sim.ResponderProfile, {"response_prob": True}, False),
+            (sim.ResponderProfile, {"truthful": 1}, False),
+            (sim.ResponderProfile, {"who_with": ["mother"]}, False),
+            (partial(ema.Participant, "p", "h", ema.Role.SON), {"window": (6, 22)}, True),
+            (partial(ema.Participant, "p", "h", ema.Role.SON), {"window": (22, 6)}, False),
+            (partial(ema.Participant, "p", "h"), {"role": "son"}, False),
+        ],
+    )
+    def test_fields_checked_when_built(self, make, fields, ok):
+        if ok:
+            make(**fields)
+        else:
+            with pytest.raises(ConfigError, match=list(fields)[-1]):
+                make(**fields)
 
     @pytest.mark.parametrize(
         "responder",
@@ -459,7 +524,7 @@ class TestConfigValidation:
     )
     def test_responder_answers_must_be_valid(self, responder):
         with pytest.raises(ConfigError):
-            sim.HomeConfig(home_id="h", participants=(flat_spec(**responder),)).validate()
+            sim.HomeConfig(home_id="h", participants=(flat_spec(**responder),))
 
     def test_load_home_config_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -497,13 +562,44 @@ class TestConfigValidation:
         assert summary["records"] == len(lines)
 
     def test_readme_home_config_loads(self, tmp_path):
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
-        block = re.search(r"\*\*Home config JSON\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
         path = tmp_path / "home.json"
-        path.write_text(block)
+        path.write_text(_readme_home_config())
         cfg = sim.load_home_config(str(path))  # the traces it names are not opened
         assert cfg.duty == watch.DutyCycleConfig()
         assert [s.participant.id for s in cfg.participants] == ["mom"]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_readme_config_loads_or_names_key_path(self, tmp_path, data):
+        # a mutant either loads or raises a ConfigError naming the key path it mutated
+        doc = json.loads(_readme_home_config())
+        slots = list(_config_slots(doc))
+        kind = data.draw(st.sampled_from(["swap", "add", "drop", "wrap"]))
+        if kind == "drop":
+            path, parent, key = data.draw(st.sampled_from([s for s in slots if isinstance(s[1], dict)]))
+            del parent[key]
+        elif kind == "swap":
+            path, parent, key = data.draw(st.sampled_from(slots))
+            kinds = {_json_type(v): v for v in (None, True, 7, "x", [1], {})}
+            kinds.pop(_json_type(parent[key]))
+            parent[key] = data.draw(st.sampled_from(sorted(kinds.values(), key=repr)))
+        else:  # a section: the whole config or an object inside it
+            sections = [("", None, None)] + [s for s in slots if isinstance(s[1][s[2]], dict)]
+            path, parent, key = data.draw(st.sampled_from(sections))
+            section = doc if parent is None else parent[key]
+            if kind == "add":
+                section["zz_unknown"] = 1
+                path = f"{path}.zz_unknown" if path else "zz_unknown"
+            elif parent is None:
+                doc = [doc]
+            else:
+                parent[key] = [section]
+        config = tmp_path / "home.json"
+        config.write_text(json.dumps(doc))
+        try:
+            sim.load_home_config(str(config))
+        except ConfigError as e:
+            assert str(e).startswith(path) or f"key(s): {path}" in str(e)
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.json"
