@@ -225,10 +225,10 @@ def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, n
     dp2 = (dz3 @ w.dense1_w.T).reshape(cache["i2"].shape)
     dz2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["a2"].shape[-3])
     dz2 *= cache["a2"] > 0
-    dp1, grads["conv2_w"], grads["conv2_b"] = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2)
+    dp1, grads["conv2_w"], grads["conv2_b"] = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2, input_grad=True)
     dz1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["a1"].shape[-3])
     dz1 *= cache["a1"] > 0
-    _, grads["conv1_w"], grads["conv1_b"] = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1)
+    _, grads["conv1_w"], grads["conv1_b"] = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1, input_grad=False)
     return grads
 
 

@@ -6,12 +6,16 @@ Each kernel exists once, written in numpy; ``signal_core`` and
 Conventions:
   - acceleration matrices are float64 ``(n, 3)`` arrays, channel order x/y/z
   - variance is the population variance, summed over the three channels
+  - smoothing and the PoI scan are bit-stable: their outputs equal, byte for
+    byte, the plain per-row gather and suppress-then-threshold loop that the
+    tests keep as references; the CNN layers are not (below)
   - the CNN layers index ``x[..., h, w, c]``: any leading axes (a batch of
     windows) pass through, and ``conv2d_backward`` returns weight and bias
     gradients summed over them
-  - a convolution with one input channel (conv1) is four broadcast
-    multiply-adds instead of a K = 1 matrix product; both forms add
-    ``b + t00 + t01 + t10 + t11`` in that order, so outputs are unchanged
+  - a convolution is one matrix product on im2col columns: the four shifted
+    views side by side on the channel axis, ``(rows, 4C) @ (4C, F)``, then
+    the bias; how the product sums its terms is up to the BLAS build, so CNN
+    activations and probabilities are stable only to the last bits
   - max-pooling halves the time axis (pairs, stride 2, floor); the later
     row of a pair wins only when strictly greater, so ties keep the earlier
     row, matching ``np.argmax`` on NaN-free input
@@ -30,20 +34,35 @@ def moving_average(x: np.ndarray, half: int) -> np.ndarray:
         return x.copy()
     csum = np.zeros((n + 1, x.shape[1]))
     np.cumsum(x, axis=0, out=csum[1:])
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, n - 1)
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
+    out = np.empty((n, x.shape[1]))
+    w = 2 * half + 1
+    if n > 2 * half:  # full windows: a difference of two cumsum slices
+        mid = out[half : n - half]
+        np.subtract(csum[w:], csum[: n + 1 - w], out=mid)
+        mid /= w
+        edges = np.concatenate((np.arange(half), np.arange(n - half, n)))
+    else:
+        edges = np.arange(n)
+    lo = np.maximum(edges - half, 0)
+    hi = np.minimum(edges + half, n - 1)
+    out[edges] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # PoI scan over one contiguous segment
 #
-# Predicate order is fixed: strict negative peaks on the x channel,
-# closer-than-min_gap suppression (more negative wins, ties keep the earlier
-# peak), the acceleration threshold, then the summed-variance filter over a
-# window of `left` samples before and `right` after the peak. Peaks whose
-# window is not fully inside the segment are discarded.
+# The result is that of a fixed predicate order: strict negative peaks on
+# the x channel, closer-than-min_gap suppression (more negative wins, ties
+# keep the earlier peak), the acceleration threshold, then the summed-
+# variance filter over a window of `left` samples before and `right` after
+# the peak. Peaks whose window is not fully inside the segment are discarded.
+#
+# The threshold is applied before suppression, which is exact: a peak
+# replaces the kept one only when strictly lower, so a peak above x_th never
+# replaces or suppresses one at or below it, and it only ever moves the
+# suppression anchor later in time, where every peak it could suppress is
+# above x_th too.
 
 
 def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
@@ -52,21 +71,21 @@ def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
     if n < 3:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     mid = xs[1:-1]
-    peaks = np.flatnonzero((mid < xs[:-2]) & (mid < xs[2:])) + 1
+    peaks = np.flatnonzero((mid < xs[:-2]) & (mid < xs[2:]) & (mid <= x_th)) + 1
 
     kept: list[int] = []
-    for i in peaks:
-        if kept and t[i] - t[kept[-1]] < min_gap:
-            if xs[i] < xs[kept[-1]]:
-                kept[-1] = i
+    t_kept = x_kept = 0.0
+    for i, ti, xi in zip(peaks.tolist(), t[peaks].tolist(), xs[peaks].tolist()):
+        if kept and ti - t_kept < min_gap:
+            if xi < x_kept:
+                kept[-1], t_kept, x_kept = i, ti, xi
         else:
             kept.append(i)
+            t_kept, x_kept = ti, xi
 
     idx_out: list[int] = []
     var_out: list[float] = []
     for i in kept:
-        if xs[i] > x_th:
-            continue
         lo, hi = i - left, i + right
         if lo < 0 or hi >= n:
             continue
@@ -74,7 +93,7 @@ def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
         mu = win.sum(axis=0) / win.shape[0]
         vsum = float(((win * win).sum(axis=0) / win.shape[0] - mu * mu).sum())
         if vsum > v_th:
-            idx_out.append(int(i))
+            idx_out.append(i)
             var_out.append(vsum)
     return np.asarray(idx_out, np.int64), np.asarray(var_out, np.float64)
 
@@ -83,27 +102,36 @@ def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
 # valid 2x2 convolution: (..., H, W, C) -> (..., H-1, W-1, F)
 
 
+_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the row order of w.reshape(4C, F)
+
+
+def _im2col(x):
+    """``(..., H-1, W-1, 4C)``: the input under each kernel tap, side by side."""
+    h, wd = x.shape[-3:-1]
+    return np.concatenate([x[..., di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in _TAPS], axis=-1)
+
+
 def conv2d(x, w, b):
-    h, wd, c = x.shape[-3:]
-    out = np.tile(b, x.shape[:-3] + (h - 1, wd - 1, 1))
-    for di in range(2):
-        for dj in range(2):
-            xs = x[..., di : h - 1 + di, dj : wd - 1 + dj, :]
-            out += xs * w[di, dj, 0] if c == 1 else np.tensordot(xs, w[di, dj], axes=([-1], [0]))
-    return out
+    cols = _im2col(x)
+    # a 2-D product: a stacked (4-D) matmul would loop over (1, 4C) rows
+    out = cols.reshape(-1, cols.shape[-1]) @ w.reshape(-1, w.shape[-1])
+    out += b
+    return out.reshape(cols.shape[:-1] + (w.shape[-1],))
 
 
-def conv2d_backward(x, w, dout):
-    h, wd, c = x.shape[-3:]
+def conv2d_backward(x, w, dout, *, input_grad):
+    """``(dx, dw, db)``; ``dx`` is None unless ``input_grad``."""
+    cols = _im2col(x)
     rows = dout.reshape(-1, dout.shape[-1])  # one row per output position
     db = rows.sum(axis=0)
-    dw = np.empty_like(w)
+    dw = (cols.reshape(-1, cols.shape[-1]).T @ rows).reshape(w.shape)
+    if not input_grad:
+        return None, dw, db
+    # one product per tap: as fast as one (rows, 4C) product, without its buffer
+    h, wd, c = x.shape[-3:]
     dx = np.zeros_like(x)
-    for di in range(2):
-        for dj in range(2):
-            xs = x[..., di : h - 1 + di, dj : wd - 1 + dj, :]
-            dw[di, dj] = xs.reshape(-1, c).T @ rows
-            dx[..., di : h - 1 + di, dj : wd - 1 + dj, :] += (rows @ w[di, dj].T).reshape(xs.shape)
+    for di, dj in _TAPS:
+        dx[..., di : h - 1 + di, dj : wd - 1 + dj, :] += (rows @ w[di, dj].T).reshape(cols.shape[:-1] + (c,))
     return dx, dw, db
 
 

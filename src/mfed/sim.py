@@ -518,15 +518,16 @@ class HomeSimulation:
 def with_run_seed(config: HomeConfig, flag: int | None) -> HomeConfig:
     """``config`` with the seed of the run: ``flag`` (``mfed simulate
     --seed``) beats ``MFED_SEED``, which beats the config seed. The seed
-    must be a non-negative integer."""
+    must be a non-negative integer; only ``MFED_SEED`` may spell it as a
+    decimal string."""
     if flag is not None:
         key, seed = "--seed", flag
     elif "MFED_SEED" in os.environ:
         key, seed = "MFED_SEED", os.environ["MFED_SEED"]
+        if seed.strip().isdecimal():
+            seed = int(seed)
     else:
         key, seed = "seed", config.seed
-    if isinstance(seed, str) and seed.strip().isdecimal():
-        seed = int(seed)
     if type(seed) is not int or seed < 0:  # not isinstance: True must not run as seed 1
         raise ConfigError(f"{key} must be a non-negative integer, got {seed!r}")
     return replace(config, seed=seed)

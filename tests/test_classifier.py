@@ -75,6 +75,32 @@ class TestConv:
         w = rng.normal(size=(2, 2, 1, 32))
         assert kernels.conv2d(x, w, np.zeros(32)).shape == (149, 2, 32)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_im2col_equals_tap_wise_form(self, data):
+        lead = data.draw(st.lists(st.integers(1, 3), max_size=2), label="lead")
+        h, wd = data.draw(st.integers(2, 20), label="h"), data.draw(st.integers(2, 4), label="w")
+        c, f = data.draw(st.sampled_from([1, 2, 5, 32]), label="c"), data.draw(st.integers(1, 8), label="f")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.normal(size=(*lead, h, wd, c))
+        w, b = rng.normal(size=(2, 2, c, f)), rng.normal(size=f)
+        dout = rng.normal(size=(*lead, h - 1, wd - 1, f))
+
+        def close(got, ref):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        windows = x.reshape(-1, h, wd, c)
+        douts = dout.reshape(-1, h - 1, wd - 1, f)
+        close(kernels.conv2d(x, w, b), np.stack([_window_conv_taps(xi, w, b) for xi in windows]).reshape(dout.shape))
+        refs = [_window_conv_backward_taps(xi, w, di) for xi, di in zip(windows, douts)]
+        dx, dw, db = kernels.conv2d_backward(x, w, dout, input_grad=True)
+        close(dx, np.stack([r[0] for r in refs]).reshape(x.shape))
+        close(dw, sum(r[1] for r in refs))
+        close(db, sum(r[2] for r in refs))
+        no_dx, dw2, db2 = kernels.conv2d_backward(x, w, dout, input_grad=False)
+        assert no_dx is None and dw2.tobytes() == dw.tobytes() and db2.tobytes() == db.tobytes()
+
 
 class TestMaxPool:
     def test_ties_break_toward_earlier_row(self):
@@ -183,7 +209,10 @@ class TestForward:
         w = _random_weights(n, rng)
         x = rng.normal(size=(n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
         p_ref, _ = _window_forward(w, x)
-        assert C.forward(w, x) == p_ref
+        p = C.forward(w, x)
+        assert p == p_ref
+        p_taps, _ = _window_forward(w, x, conv=_window_conv_taps)
+        assert abs(p - p_taps) <= 1e-12 * p_taps
 
     def test_row_count_mismatch(self):
         w = small_weights()
@@ -283,8 +312,10 @@ class TestTrain:
 
 # ---------------------------------------------------------------------------
 # The per-window network: a forward and a backward pass over one (n, 3)
-# window, written with the per-window kernel forms (tensordot for every
-# convolution, the argmax pool above). Batched passes are checked against it.
+# window, written with the per-window kernel forms (one 2-D im2col product
+# per convolution, the argmax pool above). Batched passes are checked against
+# it. The tap-wise convolution (one tensordot per kernel tap) adds the same
+# terms in another order; it is kept as a second reference, equal to 1e-12.
 
 
 def _random_weights(n, rng):
@@ -296,7 +327,33 @@ def _random_weights(n, rng):
     return w
 
 
+TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _window_cols(x):
+    """(h-1, w-1, 4c) columns of one window: the four taps side by side."""
+    h, wd, _ = x.shape
+    return np.concatenate([x[di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in TAPS], axis=2)
+
+
 def _window_conv(x, w, b):
+    cols = _window_cols(x)
+    out = cols.reshape(-1, cols.shape[2]) @ w.reshape(-1, w.shape[3]) + b
+    return out.reshape(cols.shape[:2] + (w.shape[3],))
+
+
+def _window_conv_backward(x, w, dout):
+    cols = _window_cols(x)
+    rows = dout.reshape(-1, dout.shape[2])
+    dw = (cols.reshape(-1, cols.shape[2]).T @ rows).reshape(w.shape)
+    h, wd, _ = x.shape
+    dx = np.zeros_like(x)
+    for di, dj in TAPS:
+        dx[di : h - 1 + di, dj : wd - 1 + dj, :] += dout @ w[di, dj].T
+    return dx, dw, dout.sum(axis=(0, 1))
+
+
+def _window_conv_taps(x, w, b):
     h, wd, _ = x.shape
     out = np.tile(b, (h - 1, wd - 1, 1))
     for di in range(2):
@@ -305,7 +362,7 @@ def _window_conv(x, w, b):
     return out
 
 
-def _window_conv_backward(x, w, dout):
+def _window_conv_backward_taps(x, w, dout):
     h, wd, _ = x.shape
     dw = np.zeros_like(w)
     dx = np.zeros_like(x)
@@ -316,11 +373,11 @@ def _window_conv_backward(x, w, dout):
     return dx, dw, dout.sum(axis=(0, 1))
 
 
-def _window_forward(w, x):
+def _window_forward(w, x, conv=_window_conv):
     x3 = x.reshape(x.shape[0], 3, 1)
-    z1 = _window_conv(x3, w.conv1_w, w.conv1_b)
+    z1 = conv(x3, w.conv1_w, w.conv1_b)
     p1, i1 = _maxpool2_argmax(np.maximum(z1, 0.0))
-    z2 = _window_conv(p1, w.conv2_w, w.conv2_b)
+    z2 = conv(p1, w.conv2_w, w.conv2_b)
     p2, i2 = _maxpool2_argmax(np.maximum(z2, 0.0))
     flat = p2.reshape(-1)
     z3 = flat @ w.dense1_w + w.dense1_b

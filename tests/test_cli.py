@@ -375,6 +375,8 @@ class TestSimulate:
             ("seed", None),
             ("seed", 1.5),
             ("seed", True),
+            ("seed", "7"),
+            ("seed", " 7"),
             ("MFED_SEED", "x"),
             ("MFED_SEED", "-3"),
             ("--seed", -1),
