@@ -10,10 +10,15 @@ at least 7 for the shape arithmetic to stay positive.
 Training is deliberately plain: seeded fan-in-scaled uniform init,
 mini-batch SGD on binary cross-entropy, single-threaded. Each mini-batch
 is one forward and one backward pass over a ``(B, n, 3)`` stack of
-windows, whose gradients come out summed over the batch. Results are
-bit-reproducible for a given seed, but not bit-equal to summing per-window
-gradients, which adds in another order. Inference runs the same pass on a
-batch of one. Ambiguous windows are excluded from training.
+windows, whose gradients come out summed over the batch. The training step
+multiplies dloss/dz5 by ``learning_rate / B`` before the backward pass,
+which is linear in it, so the gradients come out as the SGD step itself and
+the update is one subtraction per tensor; ``loss_and_grads`` returns them
+unscaled. The backward pass applies the ReLU masks to the pooled gradients,
+half the size of the conv outputs. Results are bit-reproducible for a given
+seed, but not bit-equal to summing per-window gradients, which adds in
+another order. Inference runs the same pass on a batch of one. Ambiguous
+windows are excluded from training.
 
 A window is a gesture when its probability is at least
 ``DECISION_THRESHOLD``. Trained weights are stored as one uncompressed
@@ -206,7 +211,8 @@ def _forward_pass(w: ModelWeights, x: np.ndarray) -> tuple[list[float], dict]:
     a4 = _relu(a3 @ w.dense2_w + w.dense2_b)
     z5 = (a4 @ w.out_w)[:, 0] + w.out_b[0]
     p = [_sigmoid(z) for z in z5.tolist()]
-    cache = {"x3": x3, "a1": a1, "i1": i1, "p1": p1, "a2": a2, "i2": i2, "flat": flat, "a3": a3, "a4": a4}
+    cache = {"x3": x3, "h1": a1.shape[-3], "i1": i1, "p1": p1, "h2": a2.shape[-3], "i2": i2, "p2": p2,
+             "flat": flat, "a3": a3, "a4": a4}
     return p, cache
 
 
@@ -222,12 +228,14 @@ def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, n
     dz3 = (dz4 @ w.dense2_w.T) * (a3 > 0)
     grads["dense1_w"] = flat.T @ dz3
     grads["dense1_b"] = dz3.sum(axis=0)
-    dp2 = (dz3 @ w.dense1_w.T).reshape(cache["i2"].shape)
-    dz2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["a2"].shape[-3])
-    dz2 *= cache["a2"] > 0
+    # ReLU masks on the pooled gradient: a winner's activation is the pooled
+    # value, and a loser's gradient is +0.0 either way
+    dp2 = (dz3 @ w.dense1_w.T).reshape(cache["p2"].shape)
+    dp2 *= cache["p2"] > 0
+    dz2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["h2"])
     dp1, grads["conv2_w"], grads["conv2_b"] = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2, input_grad=True)
-    dz1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["a1"].shape[-3])
-    dz1 *= cache["a1"] > 0
+    dp1 *= cache["p1"] > 0
+    dz1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["h1"])
     _, grads["conv1_w"], grads["conv1_b"] = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1, input_grad=False)
     return grads
 
@@ -251,13 +259,20 @@ def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:
     batch with ``(B,)`` labels; one ``(n, 3)`` window takes a scalar label."""
     if x.ndim == 2:
         x, y = x[None], [y]
+    return _loss_and_scaled_grads(w, x, y, 1.0)
+
+
+def _loss_and_scaled_grads(w: ModelWeights, x: np.ndarray, y, scale: float) -> tuple[float, dict]:
+    """``loss_and_grads`` of a batch with every gradient multiplied by
+    ``scale``: the backward pass is linear in dloss/dz5, so scaling those B
+    numbers scales every gradient it computes from them."""
     y = np.asarray(y, dtype=np.float64)
     p, cache = _forward_pass(w, x)
     eps = 1e-12
     loss = 0.0
     for pi, yi in zip(p, y.tolist()):
         loss -= yi * math.log(max(pi, eps)) + (1.0 - yi) * math.log(max(1.0 - pi, eps))
-    return loss, _backward_pass(w, cache, np.asarray(p) - y)
+    return loss, _backward_pass(w, cache, (np.asarray(p) - y) * scale)
 
 
 @dataclass(frozen=True)
@@ -294,12 +309,10 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
         total = 0.0
         for b0 in range(0, len(order), cfg.batch_size):
             batch = order[b0 : b0 + cfg.batch_size]
-            loss, grads = loss_and_grads(w, xs[batch], ys[batch])
+            loss, steps = _loss_and_scaled_grads(w, xs[batch], ys[batch], cfg.learning_rate / len(batch))
             total += loss
-            scale = cfg.learning_rate / len(batch)
             for k in names:
-                grads[k] *= scale
-                getattr(w, k)[...] -= grads[k]
+                getattr(w, k)[...] -= steps[k]
         logger.info("epoch %d/%d loss %.6f", epoch + 1, cfg.epochs, total / len(used))
     return w.validate()
 

@@ -76,13 +76,11 @@ class TestDetectEvents:
             assert as_tuples(detect_events(times)) == oracles.events_oracle(times)
 
 
-def _rounded(evs):
-    return [tuple(tuple(round(t, 6) for t in c) for c in ev) for ev in evs]
-
-
+# Offsets are multiples of 1/64 s below 1e5 s: every shifted time and gap is
+# then exact in float64, so a shift cannot move a gap across CLUSTER_GAP.
 @given(
     st.lists(st.integers(0, 120), min_size=0, max_size=8),
-    st.floats(0, 1e5),
+    st.integers(0, 100_000 * 64).map(lambda k: k / 64),
 )
 @settings(max_examples=300, deadline=None)
 def test_translation_invariance(grid, offset):
@@ -90,7 +88,17 @@ def test_translation_invariance(grid, offset):
     base = as_tuples(detect_events(times))
     shifted = as_tuples(detect_events([t + offset for t in times]))
     rebased = [tuple(tuple(t - offset for t in c) for c in ev) for ev in shifted]
-    assert _rounded(base) == _rounded(rebased)
+    assert base == rebased
+
+
+def test_inexact_shift_can_cross_the_gap():
+    # gaps of exactly CLUSTER_GAP join; shifted by 0.1 s, 260.1 - 200.1 rounds
+    # to 60.00000000000003 and splits the three gestures into no event, while
+    # a shift of 0.125 s is exact and keeps the event
+    times = [140.0, 200.0, 260.0]
+    assert len(detect_events(times)) == 1
+    assert detect_events([t + 0.1 for t in times]) == []
+    assert as_tuples(detect_events([t + 0.125 for t in times])) == [((140.125, 200.125, 260.125),)]
 
 
 def drive_stream(times, participant=None, tail=400.0):
