@@ -21,9 +21,10 @@ another order. Inference runs the same pass on a batch of one. Ambiguous
 windows are excluded from training.
 
 A window is a gesture when its probability is at least
-``DECISION_THRESHOLD``. Trained weights are stored as one uncompressed
-``.npz`` archive: ``version``, ``n``, ``rate`` and the ten float64 tensors
-under their ``ModelWeights`` field names. The same weights always give the
+``DECISION_THRESHOLD``; ``gestures`` applies that rule to a list of PoIs
+for ``mfed detect`` and for the simulator alike. Trained weights are
+stored as one uncompressed ``.npz`` archive: ``version``, ``n``, ``rate``
+and the ten float64 tensors under their ``ModelWeights`` field names. The same weights always give the
 same bytes, and loading checks every member, dtype and shape.
 """
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .errors import FormatError, InsufficientData, ShapeError, check_fields
-from .signal_core import GestureWindow, Label
+from .signal_core import AccelSeries, DetectorConfig, GestureWindow, Label, extract_window
 
 logger = logging.getLogger(__name__)
 
@@ -112,33 +113,21 @@ def stage_shapes(n: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class ModelWeights:
-    conv1_w: np.ndarray  # (2, 2, 1, 32)
-    conv1_b: np.ndarray  # (32,)
-    conv2_w: np.ndarray  # (2, 2, 32, 64)
-    conv2_b: np.ndarray  # (64,)
-    dense1_w: np.ndarray  # (flatten_dim, 100)
+    conv1_w: np.ndarray  # shapes: _tensor_shapes
+    conv1_b: np.ndarray
+    conv2_w: np.ndarray
+    conv2_b: np.ndarray
+    dense1_w: np.ndarray
     dense1_b: np.ndarray
-    dense2_w: np.ndarray  # (100, 100)
+    dense2_w: np.ndarray
     dense2_b: np.ndarray
-    out_w: np.ndarray  # (100, 1)
-    out_b: np.ndarray  # (1,)
+    out_w: np.ndarray
+    out_b: np.ndarray
     n: int
     rate: float
 
     def validate(self) -> "ModelWeights":
-        expected = {
-            "conv1_w": (2, 2, 1, CONV1_FILTERS),
-            "conv1_b": (CONV1_FILTERS,),
-            "conv2_w": (2, 2, CONV1_FILTERS, CONV2_FILTERS),
-            "conv2_b": (CONV2_FILTERS,),
-            "dense1_w": (flatten_dim(self.n), DENSE_UNITS),
-            "dense1_b": (DENSE_UNITS,),
-            "dense2_w": (DENSE_UNITS, DENSE_UNITS),
-            "dense2_b": (DENSE_UNITS,),
-            "out_w": (DENSE_UNITS, 1),
-            "out_b": (1,),
-        }
-        for name, shape in expected.items():
+        for name, shape in _tensor_shapes(self.n).items():
             arr = getattr(self, name)
             if arr.dtype != np.float64:
                 raise FormatError(f"{name} has dtype {arr.dtype}, expected float64")
@@ -155,28 +144,33 @@ class ModelWeights:
 TENSOR_NAMES = tuple(f.name for f in fields(ModelWeights) if f.name not in ("n", "rate"))
 
 
+def _tensor_shapes(n: int) -> dict[str, tuple[int, ...]]:
+    """Each ``ModelWeights`` tensor's shape for n-row windows, in field order."""
+    return {
+        "conv1_w": (2, 2, 1, CONV1_FILTERS),
+        "conv1_b": (CONV1_FILTERS,),
+        "conv2_w": (2, 2, CONV1_FILTERS, CONV2_FILTERS),
+        "conv2_b": (CONV2_FILTERS,),
+        "dense1_w": (flatten_dim(n), DENSE_UNITS),
+        "dense1_b": (DENSE_UNITS,),
+        "dense2_w": (DENSE_UNITS, DENSE_UNITS),
+        "dense2_b": (DENSE_UNITS,),
+        "out_w": (DENSE_UNITS, 1),
+        "out_b": (1,),
+    }
+
+
 def init_weights(n: int, rate: float, rng: np.random.Generator) -> ModelWeights:
-    """Fan-in-scaled uniform init; biases start at zero."""
-    flat = flatten_dim(n)
-
-    def u(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return ModelWeights(
-        conv1_w=u((2, 2, 1, CONV1_FILTERS), 4),
-        conv1_b=np.zeros(CONV1_FILTERS),
-        conv2_w=u((2, 2, CONV1_FILTERS, CONV2_FILTERS), 4 * CONV1_FILTERS),
-        conv2_b=np.zeros(CONV2_FILTERS),
-        dense1_w=u((flat, DENSE_UNITS), flat),
-        dense1_b=np.zeros(DENSE_UNITS),
-        dense2_w=u((DENSE_UNITS, DENSE_UNITS), DENSE_UNITS),
-        dense2_b=np.zeros(DENSE_UNITS),
-        out_w=u((DENSE_UNITS, 1), DENSE_UNITS),
-        out_b=np.zeros(1),
-        n=n,
-        rate=rate,
-    ).validate()
+    """Fan-in-scaled uniform init, drawn in field order; biases start at
+    zero. A weight's fan-in is the product of all its axes but the last."""
+    tensors = {}
+    for name, shape in _tensor_shapes(n).items():
+        if name.endswith("_b"):
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / math.sqrt(math.prod(shape[:-1]))
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+    return ModelWeights(n=n, rate=rate, **tensors).validate()
 
 
 def _sigmoid(z: float) -> float:
@@ -252,6 +246,22 @@ def forward(weights: ModelWeights, window) -> float:
 def classify(weights: ModelWeights, window) -> bool:
     """True (eating gesture) when forward probability >= DECISION_THRESHOLD."""
     return forward(weights, window) >= DECISION_THRESHOLD
+
+
+def gestures(weights: ModelWeights | None, smoothed: AccelSeries, pois, cfg: DetectorConfig) -> list:
+    """``(poi, probability)`` for each of ``pois`` whose window of the
+    smoothed series ``forward`` puts at or above DECISION_THRESHOLD, in
+    order. Without weights (threshold-only mode) every PoI is a gesture,
+    with probability None. Batch detection and the simulator's base station
+    both accept gestures here."""
+    if weights is None:
+        return [(poi, None) for poi in pois]
+    accepted = []
+    for poi in pois:
+        prob = forward(weights, extract_window(smoothed, poi, cfg))
+        if prob >= DECISION_THRESHOLD:
+            accepted.append((poi, prob))
+    return accepted
 
 
 def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:

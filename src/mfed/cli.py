@@ -119,18 +119,8 @@ def _cmd_detect(args) -> int:
     series, cfg = _load_inputs(args)
     weights = classifier.load_weights(args.weights) if args.weights else None
     times, _ = detect_gesture_times(series, cfg, weights)
-    records = [
-        {
-            "kind": "eating_event",
-            "participant": None,
-            "start_ms": round(ev.start * 1000),
-            "end_ms": round(ev.end * 1000),
-            "gestures": [round(g * 1000) for g in ev.gesture_times],
-        }
-        for ev in detect_events(times)
-    ]
     with _out_fh(args.out) as fh:
-        traceio.write_jsonl(records, fh)
+        traceio.write_jsonl(map(traceio.eating_event_record, detect_events(times)), fh)
     return 0
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields
-from .events import EatingEvent
+from .events import EatingEvent, split_at_gaps
 
 EMA_MIN_GAP = 3600.0  # s between any two EMAs to one participant
 EATING_EMA_DELAY = 240.0  # s between detection and dispatch
@@ -473,15 +473,8 @@ def resolve_collaborative_gt(
     records: list[GroundTruthRecord] = []
     for subject_id in sorted(mentions):
         entries = sorted(set(mentions[subject_id]))
-        group: list[tuple[float, str]] = []
-        groups: list[list[tuple[float, str]]] = []
-        for entry in entries:
-            if group and entry[0] - group[-1][0] > COLLAB_WINDOW:
-                groups.append(group)
-                group = []
-            group.append(entry)
-        groups.append(group)
-        for grp in groups:
+        for a, b in split_at_gaps([t for t, _ in entries], COLLAB_WINDOW):
+            grp = entries[a:b]
             lo = grp[0][0] - COLLAB_WINDOW
             hi = grp[-1][0] + COLLAB_WINDOW
             first = None

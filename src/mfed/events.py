@@ -5,16 +5,18 @@ fewer than 3 gestures are outliers and never enter an event; surviving
 clusters whose start follows the previous surviving cluster's end by at
 most 240 s merge into one event. Both gap checks are inclusive.
 
-The rule is written once. `detect_events` applies it to a full sorted
-gesture list. The streaming detector keeps only the open event's gestures
-plus the live cluster and re-runs the same rule on them after each
-gesture: it announces an event the moment a cluster reaches 3 gestures
-and finalizes it once a later cluster qualifies beyond the merge gap or
-240 s pass with nothing able to extend it. Finalized streaming events
-equal the batch output over the same gestures whenever each gesture is
-observed before any `advance` call at or past its own time: for example,
-each gesture observed at its own time, or late delivery with no
-`advance` calls before `finish`. The simulator relies on the second case:
+The rule is written once. `split_at_gaps` makes its 60 s split, and
+`ema` splits who-with mentions into collaborative records with it too.
+`detect_events` applies the rule to a full sorted gesture list. The
+streaming detector keeps only the open event's gestures plus the live
+cluster and re-runs the same rule on them after each gesture: it
+announces an event the moment a cluster reaches 3 gestures and finalizes
+it once a later cluster qualifies beyond the merge gap or 240 s pass with
+nothing able to extend it. Finalized streaming events equal the batch
+output over the same gestures whenever each gesture is observed before
+any `advance` call at or past its own time: for example, each gesture
+observed at its own time, or late delivery with no `advance` calls
+before `finish`. The simulator relies on the second case:
 its gestures arrive with watch uploads, so it never calls `advance`.
 """
 from __future__ import annotations
@@ -67,6 +69,18 @@ class EatingEvent:
         return tuple(t for c in self.clusters for t in c.times)
 
 
+def split_at_gaps(times, gap: float) -> list[tuple[int, int]]:
+    """``(start, stop)`` index spans of the runs of sorted ``times`` in which
+    each time follows its predecessor by at most ``gap``."""
+    spans: list[tuple[int, int]] = []
+    start = 0
+    for i in range(1, len(times) + 1):
+        if i == len(times) or times[i] - times[i - 1] > gap:
+            spans.append((start, i))
+            start = i
+    return spans
+
+
 def detect_events(times, participant_id: str | None = None) -> list[EatingEvent]:
     """Full clustering rule over a sorted gesture-time list."""
     return _events(times, participant_id)
@@ -75,15 +89,7 @@ def detect_events(times, participant_id: str | None = None) -> list[EatingEvent]
 def _events(times, participant_id: str | None) -> list[EatingEvent]:
     # StreamDetector calls the rule by this private name, so a profiler that
     # wraps detect_events counts only the batch calls
-    n = len(times)
-    survivors: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or times[i] - times[i - 1] > CLUSTER_GAP:
-            if i - start >= MIN_CLUSTER_SIZE:
-                survivors.append((start, i))
-            start = i
-
+    survivors = [(a, b) for a, b in split_at_gaps(times, CLUSTER_GAP) if b - a >= MIN_CLUSTER_SIZE]
     events: list[EatingEvent] = []
     group: list[tuple[int, int]] = []
     for span in survivors:

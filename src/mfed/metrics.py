@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from . import classifier as _classifier
 from .errors import ConfigError, InsufficientData, real
-from .signal_core import AccelSeries, DetectorConfig, detect_pois, extract_window, smooth
+from .signal_core import AccelSeries, DetectorConfig, detect_pois, smooth
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,7 @@ def detect_gesture_times(series: AccelSeries, cfg: DetectorConfig, weights=None)
     """
     smoothed = smooth(series, cfg.smooth_len)
     pois = detect_pois(smoothed, cfg)
-    if weights is None:
-        return [p.t for p in pois], len(pois)
-    times = [p.t for p in pois if _classifier.classify(weights, extract_window(smoothed, p, cfg))]
-    return times, len(pois)
+    return [poi.t for poi, _ in _classifier.gestures(weights, smoothed, pois, cfg)], len(pois)
 
 
 def threshold_sweep(

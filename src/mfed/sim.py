@@ -3,7 +3,8 @@
 One home runs as a single-threaded discrete-event loop: watch nodes replay
 their traces, count each PoI at its decision time, and upload on quorum
 (see ``watch``); the base station classifies exactly the PoIs each upload
-names, clusters gestures into events, and schedules EMAs; seeded responder
+names through ``classifier.gestures``, the accept rule of ``mfed detect``,
+clusters gestures into events, and schedules EMAs; seeded responder
 agents answer the surveys; ground truth is resolved at the end of the run.
 Each participant's event detector only observes the gestures uploads
 deliver: an event is finalized when that participant's next event is
@@ -40,7 +41,8 @@ import numpy as np
 
 from . import classifier, ema, events, traceio, watch
 from .errors import ConfigError, InvalidAnswer, check_fields, field_hints
-from .signal_core import AccelSeries, DetectorConfig, decision_time, detect_pois, extract_window, smooth
+from .signal_core import AccelSeries, DetectorConfig, decision_time, detect_pois, smooth
+from .traceio import ms
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,6 @@ class HomeConfig:
     start_hour: Annotated[float, "[0, 24)"] = 0.0
     duration_s: Annotated[float, "(0, inf)"] | None = None
     ema_ttl_s: Annotated[float, "(1, inf]"] = 1800.0
-    decision_threshold: Annotated[float, "[0, 1]"] = classifier.DECISION_THRESHOLD
 
     def __post_init__(self):
         check_fields(self)
@@ -161,10 +162,6 @@ def load_home_config(path: str) -> HomeConfig:
         specs.append(_build(ParticipantSpec, p, path, also=field_hints(ema.Participant).keys() - {"home_id"},
                             participant=person, series=None, annotation_times=None))
     return _build(HomeConfig, doc, also=["participants"], participants=tuple(specs))
-
-
-def _ms(t: float) -> int:
-    return round(t * 1000)
 
 
 class _Node:
@@ -254,10 +251,10 @@ class HomeSimulation:
         self._log(
             {
                 "kind": "upload",
-                "t_ms": _ms(t),
+                "t_ms": ms(t),
                 "participant": pid,
-                "span_start_ms": _ms(payload.span[0]),
-                "span_end_ms": _ms(payload.span[1]),
+                "span_start_ms": ms(payload.span[0]),
+                "span_end_ms": ms(payload.span[1]),
                 "samples": len(payload.accel) if payload.accel is not None else 0,
             }
         )
@@ -265,7 +262,7 @@ class HomeSimulation:
             self._log(
                 {
                     "kind": "beacon",
-                    "t_ms": _ms(bt),
+                    "t_ms": ms(bt),
                     "participant": pid,
                     "beacon": beacon_id,
                     "rssi_dbm": rssi,
@@ -273,23 +270,12 @@ class HomeSimulation:
             )
         for bt, pct in payload.battery_samples:
             self._log(
-                {"kind": "battery", "t_ms": _ms(bt), "participant": pid, "percent": round(pct, 3)}
+                {"kind": "battery", "t_ms": ms(bt), "participant": pid, "percent": round(pct, 3)}
             )
-        for poi_t in payload.pois:
-            poi = node.poi_at[poi_t]
-            if self.weights is not None:
-                # equals the smoothing of the samples shipped so far (decision_time)
-                window = extract_window(node.smoothed, poi, self.cfg.detector)
-                prob = classifier.forward(self.weights, window)
-                if prob < self.cfg.decision_threshold:
-                    continue
-            else:
-                prob = None
-            record = {
-                "kind": "gesture",
-                "t_ms": _ms(poi.t),
-                "participant": node.spec.participant.id,
-            }
+        # node.smoothed equals the smoothing of the samples shipped so far (decision_time)
+        pois = [node.poi_at[poi_t] for poi_t in payload.pois]
+        for poi, prob in classifier.gestures(self.weights, node.smoothed, pois, self.cfg.detector):
+            record = {"kind": "gesture", "t_ms": ms(poi.t), "participant": pid}
             if prob is not None:
                 record["prob"] = round(prob, 6)
             self._log(record)
@@ -304,10 +290,10 @@ class HomeSimulation:
             self._log(
                 {
                     "kind": "event_detected",
-                    "t_ms": _ms(t),
+                    "t_ms": ms(t),
                     "participant": pid,
                     "event": event_id,
-                    "start_ms": _ms(emission.event.start),
+                    "start_ms": ms(emission.event.start),
                 }
             )
             outcome = ema.on_event_detected(
@@ -327,7 +313,7 @@ class HomeSimulation:
                 self._log(
                     {
                         "kind": "ema_suppressed",
-                        "t_ms": _ms(t),
+                        "t_ms": ms(t),
                         "participant": pid,
                         "event": event_id,
                         "reason": outcome.reason.value,
@@ -335,15 +321,7 @@ class HomeSimulation:
                 )
         else:  # EventFinalized
             node.finalized.append(emission.event)
-            self._log(
-                {
-                    "kind": "eating_event",
-                    "participant": pid,
-                    "start_ms": _ms(emission.event.start),
-                    "end_ms": _ms(emission.event.end),
-                    "gestures": [_ms(g) for g in emission.event.gesture_times],
-                }
-            )
+            self._log(traceio.eating_event_record(emission.event))
 
     def _handle_hour(self, t: float, node: _Node, _):
         outcome = ema.hourly_tick(node.spec.participant, t, node.schedule, self.clock)
@@ -362,7 +340,7 @@ class HomeSimulation:
         self._log(
             {
                 "kind": "ema_sent",
-                "t_ms": _ms(t),
+                "t_ms": ms(t),
                 "participant": survey.participant_id,
                 "survey": survey.id,
                 "ema": survey.kind.value,
@@ -417,7 +395,7 @@ class HomeSimulation:
         node.responses.append(response)
         record = {
             "kind": "ema_response",
-            "t_ms": _ms(t),
+            "t_ms": ms(t),
             "participant": survey.participant_id,
             "survey": survey.id,
             "ema": survey.kind.value,
@@ -441,7 +419,7 @@ class HomeSimulation:
         self._log(
             {
                 "kind": "ema_expired",
-                "t_ms": _ms(t),
+                "t_ms": ms(t),
                 "participant": survey.participant_id,
                 "survey": survey.id,
             }
@@ -499,19 +477,7 @@ class HomeSimulation:
         records += ema.resolve_collaborative_gt(responses, roster)
         records += ema.resolve_hourly_gt(responses, all_events)
         for r in records:
-            self._log(
-                {
-                    "kind": "ground_truth",
-                    "t_ms": _ms(end),
-                    "subject": r.subject_id,
-                    "start_ms": _ms(r.window[0]),
-                    "end_ms": _ms(r.window[1]),
-                    "fact": r.fact.value,
-                    "provenance": r.provenance.kind,
-                    "sources": list(r.provenance.sources),
-                    "missed_detection": r.missed_detection,
-                }
-            )
+            self._log({"kind": "ground_truth", "t_ms": ms(end), **traceio.ground_truth_fields(r)})
         return records
 
 

@@ -171,12 +171,17 @@ def _parse_lines(path: str, header: tuple[str, ...], extra_fields: bool = False)
                 raise ParseError("samples must be finite", line=lineno)
             if t and ts <= t[-1]:
                 raise NonMonotonicTimestamp(
-                    f"t_ms {t_ms} does not increase past {round(t[-1] * 1000)}", line=lineno
+                    f"t_ms {t_ms} does not increase past {ms(t[-1])}", line=lineno
                 )
             t.append(ts)
             values.append(v)
     matrix = np.asarray(values, dtype=np.float64).reshape(len(t), width - 1)
     return np.asarray(t, dtype=np.float64), matrix
+
+
+def ms(t: float) -> int:
+    """Seconds as the integer milliseconds of every ``*_ms`` field."""
+    return round(t * 1000)
 
 
 def dump_jsonl_record(record: dict) -> str:
@@ -188,7 +193,34 @@ def write_jsonl(records, fh):
         fh.write(dump_jsonl_record(record) + "\n")
 
 
-GROUND_TRUTH_HEADER = ["subject_id", "start_ms", "end_ms", "fact", "provenance", "sources"]
+def eating_event_record(event) -> dict:
+    """The ``eating_event`` JSONL record of an ``events.EatingEvent``."""
+    return {
+        "kind": "eating_event",
+        "participant": event.participant_id,
+        "start_ms": ms(event.start),
+        "end_ms": ms(event.end),
+        "gestures": [ms(g) for g in event.gesture_times],
+    }
+
+
+def ground_truth_fields(r) -> dict:
+    """The fields of an ``ema.GroundTruthRecord``, in order: the
+    ``ground_truth`` JSONL record's after its kind and time, and the
+    ground-truth CSV's columns."""
+    return {
+        "subject": r.subject_id,
+        "start_ms": ms(r.window[0]),
+        "end_ms": ms(r.window[1]),
+        "fact": r.fact.value,
+        "provenance": r.provenance.kind,
+        "sources": list(r.provenance.sources),
+        "missed_detection": r.missed_detection,
+    }
+
+
+# the keys of ground_truth_fields, the subject's column named subject_id
+GROUND_TRUTH_HEADER = ["subject_id", "start_ms", "end_ms", "fact", "provenance", "sources", "missed_detection"]
 
 
 def write_ground_truth_csv(records, fh):
@@ -196,13 +228,6 @@ def write_ground_truth_csv(records, fh):
     writer = csv.writer(fh)
     writer.writerow(GROUND_TRUTH_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                r.subject_id,
-                round(r.window[0] * 1000),
-                round(r.window[1] * 1000),
-                r.fact.value,
-                r.provenance.kind,
-                ";".join(r.provenance.sources),
-            ]
-        )
+        row = ground_truth_fields(r)
+        row["sources"] = ";".join(row["sources"])
+        writer.writerow(row.values())

@@ -12,7 +12,9 @@ import synth
 from mfed import classifier as C
 from mfed import kernels
 from mfed.errors import FormatError, InsufficientData, ShapeError
-from mfed.signal_core import GestureWindow, Label, Poi
+from mfed.signal_core import (
+    DetectorConfig, GestureWindow, Label, Poi, detect_pois, extract_window, smooth, window_extent,
+)
 
 
 def small_weights(seed=0, n=10):
@@ -198,6 +200,23 @@ def _maxpool2_backward_put(dout, arg, h):
     return dx
 
 
+class TestInitWeights:
+    @pytest.mark.parametrize("n", [7, 8, 12, 150])
+    def test_fan_in_scaled_draws_in_field_order_and_zero_biases(self, n):
+        # each weight is uniform in +-1/sqrt(fan-in), drawn in this order; each
+        # bias is zero and as wide as its weight's last axis
+        flat, rng = C.flatten_dim(n), np.random.default_rng(n)
+        draws = {"conv1_w": ((2, 2, 1, 32), 4), "conv2_w": ((2, 2, 32, 64), 128), "dense1_w": ((flat, 100), flat),
+                 "dense2_w": ((100, 100), 100), "out_w": ((100, 1), 100)}
+        expected = {name: rng.uniform(-1 / math.sqrt(fan), 1 / math.sqrt(fan), size=shape)
+                    for name, (shape, fan) in draws.items()}
+        expected.update({name[:-1] + "b": np.zeros(w.shape[-1]) for name, w in expected.items()})
+        got = C.init_weights(n, 25.0, np.random.default_rng(n)).tensors()
+        assert got.keys() == expected.keys()
+        for name, arr in got.items():
+            assert arr.dtype == expected[name].dtype and arr.tobytes() == expected[name].tobytes(), name
+
+
 class TestForward:
     def test_zero_weights_give_half(self):
         w = small_weights()
@@ -280,6 +299,43 @@ class TestClassify:
         x = np.random.default_rng(7).normal(size=(10, 3))
         assert C.forward(_constant_weights(-5.0), x) < C.DECISION_THRESHOLD
         assert not C.classify(_constant_weights(-5.0), x)
+
+
+
+class TestGestures:
+    """``gestures``: the accept rule of batch detection and of the simulator."""
+
+    @given(
+        seed=st.integers(0, 2**16), shift=st.floats(-0.5, 0.5), cuts=st.lists(st.integers(0, 9), max_size=4)
+    )
+    @example(seed=0, shift=0.0, cuts=[])
+    @settings(max_examples=40, deadline=None)
+    def test_forward_at_the_threshold_under_any_chunking(self, seed, shift, cuts):
+        rng = np.random.default_rng(seed)
+        series = synth.gesture_trace(rng, 10.0 + np.cumsum(rng.uniform(8.0, 30.0, rng.integers(1, 9))))
+        cfg = DetectorConfig()
+        smoothed = smooth(series, cfg.smooth_len)
+        pois = detect_pois(smoothed, cfg)
+        w = small_weights(seed, n=window_extent(cfg.window_len, series.rate)[0])
+        windows = [extract_window(smoothed, p, cfg) for p in pois]
+        # move the output bias so that the threshold falls among the windows' logits
+        logits = [math.log(p / (1.0 - p)) for p in (C.forward(w, x) for x in windows)]
+        if logits:
+            w.out_b[0] -= sorted(logits)[len(logits) // 2] + shift * (max(logits) - min(logits))
+        probs = [C.forward(w, x) for x in windows]
+        expected = [(poi, prob) for poi, prob in zip(pois, probs) if prob >= C.DECISION_THRESHOLD]
+        assert C.gestures(w, smoothed, pois, cfg) == expected
+        bounds = [0, *sorted(min(c, len(pois)) for c in cuts), len(pois)]
+        chunked = [g for a, b in zip(bounds, bounds[1:]) for g in C.gestures(w, smoothed, pois[a:b], cfg)]
+        assert chunked == expected
+
+    def test_threshold_only_accepts_every_poi(self):
+        series = synth.gesture_trace(np.random.default_rng(2), [20.0, 40.0, 60.0])
+        cfg = DetectorConfig()
+        smoothed = smooth(series, cfg.smooth_len)
+        pois = detect_pois(smoothed, cfg)
+        assert len(pois) == 3
+        assert C.gestures(None, smoothed, pois, cfg) == [(poi, None) for poi in pois]
 
 
 def _labeled(rng, count, n=16):

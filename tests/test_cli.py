@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -273,7 +274,14 @@ class TestSimulate:
         assert code == 0
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert any(r["kind"] == "eating_event" for r in lines)
-        assert gt.read_text().startswith("subject_id,start_ms,end_ms,fact,provenance,sources")
+        assert gt.read_text().startswith("subject_id,start_ms,end_ms,fact,provenance,sources,missed_detection\n")
+        # one CSV row per ground_truth record, holding its fields in order
+        logged = [r for r in lines if r["kind"] == "ground_truth"]
+        rows = list(csv.reader(gt.read_text().splitlines()))[1:]
+        assert logged and len(rows) == len(logged)
+        for r, row in zip(logged, rows):
+            fields = [r[k] for k in ("subject", "start_ms", "end_ms", "fact", "provenance")]
+            assert row == [str(v) for v in fields] + [";".join(r["sources"]), str(r["missed_detection"])]
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == 2
@@ -369,6 +377,7 @@ class TestSimulate:
             ("start_hour", float("nan")),
             ("ema_ttl_s", 0.5),
             ("ema_ttl_s", 1.0),
+            # a removed key: the simulator accepts gestures at classifier.DECISION_THRESHOLD
             ("decision_threshold", "x"),
             ("decision_threshold", 1.5),
             ("seed", -1),

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import synth
-from mfed import classifier, ema, events, sim, watch
+from mfed import classifier, ema, events, metrics, sim, traceio, watch
 from mfed.cli import main as cli_main
 from mfed.errors import ConfigError
 from mfed.signal_core import (
@@ -140,24 +140,21 @@ class TestDeterminism:
     def test_classifier_stage_runs_when_weights_given(self, tmp_path):
         from mfed import classifier as C
 
+        # a zero output layer: every window goes through forward and gets
+        # sigmoid(1.0) > DECISION_THRESHOLD, so every uploaded PoI is a gesture
         weights = C.init_weights(150, 25.0, np.random.default_rng(0))
-        path = tmp_path / "w.json"
+        weights.out_w[...] = 0.0
+        weights.out_b[...] = 1.0
+        path = tmp_path / "w.npz"
         C.save_weights(weights, str(path))
-        # permissive threshold: every PoI passes, but each goes through forward
-        cfg = sim.HomeConfig(
-            home_id=self._config().home_id,
-            participants=self._config().participants,
-            beacons=(),
-            duty=None,
-            weights=str(path),
-            seed=7,
-            start_hour=9.0,
-            decision_threshold=0.01,
-        )
+        cfg = replace(self._config(), beacons=(), duty=None, weights=str(path), seed=7, start_hour=9.0)
         _, lines, _ = run_to_lines(cfg)
+        _, threshold_only, _ = run_to_lines(replace(cfg, weights=None))
         gestures = records_of(lines, "gesture")
-        assert gestures
-        assert all("prob" in g and 0.0 < g["prob"] < 1.0 for g in gestures)
+        assert len(gestures) >= 12
+        assert [g["t_ms"] for g in gestures] == [g["t_ms"] for g in records_of(threshold_only, "gesture")]
+        assert all(g["prob"] == round(1.0 / (1.0 + math.exp(-1.0)), 6) for g in gestures)
+        assert all("prob" not in g for g in records_of(threshold_only, "gesture"))
 
 
 def _run_recording(cfg, monkeypatch):
@@ -213,6 +210,23 @@ def _events_against_batch(lines):
         times = [r["t_ms"] / 1000.0 for r in records_of(lines, "gesture") if r["participant"] == pid]
         batch[pid] = [[round(t * 1000) for t in ev.gesture_times] for ev in events.detect_events(times)]
     return logged, batch
+
+
+class TestOneDetectionPath:
+    def test_simulator_accepts_and_clusters_what_mfed_detect_does(self, monkeypatch):
+        gestures = [67.5 + 15.0 * i for i in range(9)] + [967.5 + 15.0 * i for i in range(9)]
+        cfg = _home(gestures, watch.UploadPolicy(), weights="w.npz", duty=None)
+        # by gesture: rejected, accepted at the threshold, accepted
+        probs = (0.25, classifier.DECISION_THRESHOLD, 0.75)
+        monkeypatch.setattr(classifier, "load_weights", lambda path: "weights")
+        monkeypatch.setattr(classifier, "forward", lambda weights, window: probs[int(window.poi.t // 15.0) % 3])
+        _, lines, _ = run_to_lines(cfg)
+        times, n_pois = metrics.detect_gesture_times(cfg.participants[0].series, cfg.detector, "weights")
+        assert (len(times), n_pois) == (12, 18)
+        assert [g["t_ms"] for g in records_of(lines, "gesture")] == [traceio.ms(t) for t in times]
+        detected = [traceio.eating_event_record(ev) for ev in events.detect_events(times, "p1")]
+        assert len(detected) == 2
+        assert records_of(lines, "eating_event") == detected
 
 
 class TestUploadedData:

@@ -1,3 +1,5 @@
+import csv
+import io
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
-from mfed import traceio
+from mfed import ema, traceio
 from mfed.errors import ConfigError, NonMonotonicTimestamp, ParseError
 from mfed.traceio import load_annotations, load_trace
 
@@ -243,3 +245,23 @@ def test_arbitrary_bytes_load_or_raise_parse_error_with_line(csv_path, head, bod
             assert isinstance(e.line, int) and e.line >= 1
         else:
             assert values.shape == (len(t), len(header) - 1)
+
+
+# ---------------------------------------------------------------------------
+# Ground-truth CSV
+
+
+def _ground_truth(missed_detection: bool):
+    provenance = ema.Provenance("son-3", ("mother-2", "father-1"))
+    return ema.GroundTruthRecord("son", (3600.0, 7200.5), ema.Fact.WAS_EATING, provenance, missed_detection)
+
+
+def test_ground_truth_csv_tells_a_missed_detection_from_a_confirmed_one():
+    buf = io.StringIO()
+    traceio.write_ground_truth_csv([_ground_truth(True), _ground_truth(False)], buf)
+    header, missed, confirmed = csv.reader(io.StringIO(buf.getvalue()))
+    assert header == ["subject_id", "start_ms", "end_ms", "fact", "provenance", "sources", "missed_detection"]
+    assert missed == ["son", "3600000", "7200500", "was_eating", "collaborative+first_person",
+                      "son-3;mother-2;father-1", "True"]
+    assert confirmed == missed[:-1] + ["False"]
+
