@@ -17,8 +17,9 @@ the update is one subtraction per tensor; ``loss_and_grads`` returns them
 unscaled. The backward pass applies the ReLU masks to the pooled gradients,
 half the size of the conv outputs. Results are bit-reproducible for a given
 seed, but not bit-equal to summing per-window gradients, which adds in
-another order. Inference runs the same pass on a batch of one. Ambiguous
-windows are excluded from training.
+another order. Inference runs the same layers on a batch of one, but
+computes neither the pool winners nor the cache of activations, which only
+the backward pass reads. Ambiguous windows are excluded from training.
 
 A window is a gesture when its probability is at least
 ``DECISION_THRESHOLD``; ``gestures`` applies that rule to a list of PoIs
@@ -192,22 +193,23 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def _forward_pass(w: ModelWeights, x: np.ndarray) -> tuple[list[float], dict]:
-    """Probabilities for a ``(B, n, 3)`` batch of windows, and the
-    activations the backward pass needs."""
+def _forward_pass(w: ModelWeights, x: np.ndarray, cache: dict | None = None) -> list[float]:
+    """Probabilities for a ``(B, n, 3)`` batch of windows. Given a
+    ``cache`` dict, also stores there the activations and pool winners the
+    backward pass reads; inference passes none and computes neither."""
     x3 = x[..., None]
     a1 = _relu(kernels.conv2d(x3, w.conv1_w, w.conv1_b))
-    p1, i1 = kernels.maxpool2(a1)
+    p1 = kernels.maxpool2(a1)
     a2 = _relu(kernels.conv2d(p1, w.conv2_w, w.conv2_b))
-    p2, i2 = kernels.maxpool2(a2)
+    p2 = kernels.maxpool2(a2)
     flat = p2.reshape(x.shape[0], -1)
     a3 = _relu(flat @ w.dense1_w + w.dense1_b)
     a4 = _relu(a3 @ w.dense2_w + w.dense2_b)
     z5 = (a4 @ w.out_w)[:, 0] + w.out_b[0]
-    p = [_sigmoid(z) for z in z5.tolist()]
-    cache = {"x3": x3, "h1": a1.shape[-3], "i1": i1, "p1": p1, "h2": a2.shape[-3], "i2": i2, "p2": p2,
-             "flat": flat, "a3": a3, "a4": a4}
-    return p, cache
+    if cache is not None:
+        cache.update(x3=x3, h1=a1.shape[-3], i1=kernels.maxpool2_winners(a1), p1=p1, h2=a2.shape[-3],
+                     i2=kernels.maxpool2_winners(a2), p2=p2, flat=flat, a3=a3, a4=a4)
+    return [_sigmoid(z) for z in z5.tolist()]
 
 
 def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, np.ndarray]:
@@ -239,8 +241,7 @@ def forward(weights: ModelWeights, window) -> float:
     x = _window_array(window)
     if x.shape[0] != weights.n:
         raise ShapeError(f"window has {x.shape[0]} rows, weights expect {weights.n}")
-    p, _ = _forward_pass(weights, x[None])
-    return p[0]
+    return _forward_pass(weights, x[None])[0]
 
 
 def classify(weights: ModelWeights, window) -> bool:
@@ -277,7 +278,8 @@ def _loss_and_scaled_grads(w: ModelWeights, x: np.ndarray, y, scale: float) -> t
     ``scale``: the backward pass is linear in dloss/dz5, so scaling those B
     numbers scales every gradient it computes from them."""
     y = np.asarray(y, dtype=np.float64)
-    p, cache = _forward_pass(w, x)
+    cache: dict = {}
+    p = _forward_pass(w, x, cache)
     eps = 1e-12
     loss = 0.0
     for pi, yi in zip(p, y.tolist()):

@@ -16,9 +16,16 @@ Conventions:
     views side by side on the channel axis, ``(rows, 4C) @ (4C, F)``, then
     the bias; how the product sums its terms is up to the BLAS build, so CNN
     activations and probabilities are stable only to the last bits
+  - the columns are one copy of a strided view with two tap axes when
+    C > 1 (about 7 against 13 us for one conv2 input) and a concatenate of
+    the four tap views when C = 1, where the strided copy was slower at
+    batches of 4 and more (x86-64, numpy 2.4); both give the same bytes
   - max-pooling halves the time axis (pairs, stride 2, floor); the later
     row of a pair wins only when strictly greater, so ties keep the earlier
     row, matching ``np.argmax`` on NaN-free input
+  - ``maxpool2`` returns the pooled values only, which is all inference
+    needs; training takes the winners from ``maxpool2_winners`` (int64 1
+    where the later row won) and hands them to ``maxpool2_backward``
   - the pools select without ``np.where``: on a batch of 4 conv1 outputs
     (19k pooled elements, past numpy's 8192-element buffer) it took about
     7 ns an element, four times ``np.maximum`` on the same strided views
@@ -113,8 +120,16 @@ _TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the row order of w.reshape(4C, F)
 
 def _im2col(x):
     """``(..., H-1, W-1, 4C)``: the input under each kernel tap, side by side."""
-    h, wd = x.shape[-3:-1]
-    return np.concatenate([x[..., di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in _TAPS], axis=-1)
+    *lead, h, wd, c = x.shape
+    if c == 1:  # a concatenate of four views: faster than the strided copy here
+        return np.concatenate([x[..., di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in _TAPS], axis=-1)
+    # one copy of a (..., H-1, W-1, 2, 2, C) view whose two tap axes step
+    # like the row and column axes; np.ndarray builds it without the Python
+    # cost of as_strided
+    x = np.ascontiguousarray(x)
+    *lead_st, sh, sw, sc = x.strides
+    view = np.ndarray((*lead, h - 1, wd - 1, 2, 2, c), x.dtype, x, 0, (*lead_st, sh, sw, sh, sw, sc))
+    return view.copy().reshape(*lead, h - 1, wd - 1, 4 * c)
 
 
 def conv2d(x, w, b):
@@ -145,13 +160,23 @@ def conv2d_backward(x, w, dout, *, input_grad):
 # 2x1 max pool along the time axis (..., H, W, C), stride 2, floor on odd lengths
 
 
-def maxpool2(x):
+def _row_pairs(x):
+    """The earlier and the later row of each pooled pair, as strided views."""
     h2 = x.shape[-3] // 2
-    top, bottom = x[..., 0 : 2 * h2 : 2, :, :], x[..., 1 : 2 * h2 : 2, :, :]
-    arg = bottom > top
+    return x[..., 0 : 2 * h2 : 2, :, :], x[..., 1 : 2 * h2 : 2, :, :]
+
+
+def maxpool2(x):
+    top, bottom = _row_pairs(x)
     # np.maximum returns its second operand when +0.0 ties -0.0, so the
     # earlier row keeps a tie; the tests pin this, since numpy does not
-    return np.maximum(bottom, top), arg.astype(np.int64)
+    return np.maximum(bottom, top)
+
+
+def maxpool2_winners(x):
+    """int64 1 where the later row of a pair won ``maxpool2``, else 0."""
+    top, bottom = _row_pairs(x)
+    return (bottom > top).astype(np.int64)
 
 
 def maxpool2_backward(dout, arg, h):

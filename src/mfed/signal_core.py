@@ -60,6 +60,14 @@ class AccelSeries:
     def __len__(self) -> int:
         return self.t.shape[0]
 
+    def rows(self, lo: int, hi: int) -> "AccelSeries":
+        """Rows ``lo:hi`` as a series sharing this one's arrays. A row slice
+        of a valid series is valid, so it is not checked again."""
+        part = object.__new__(AccelSeries)
+        for name, value in (("rate", self.rate), ("t", self.t[lo:hi]), ("xyz", self.xyz[lo:hi])):
+            object.__setattr__(part, name, value)
+        return part
+
     @property
     def duration(self) -> float:
         """Nominal duration in seconds (sample count over rate)."""
@@ -169,25 +177,32 @@ def detect_pois(series: AccelSeries, cfg: DetectorConfig) -> list[Poi]:
     return pois
 
 
-def decision_time(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> float:
-    """Time of the last raw sample that ``poi``'s detection and window read.
+def decision_times(series: AccelSeries, pois, cfg: DetectorConfig) -> list[float]:
+    """Each PoI's decision time: the time of the last raw sample that its
+    detection and window read.
 
     That is the later of the window's last row and the row after the last
     row closer than ``peak_min_gap`` to the peak (a lower peak there would
-    suppress ``poi``, and a peak shows once its next row is in), plus the
+    suppress the PoI, and a peak shows once its next row is in), plus the
     smoothing half-width, kept inside the PoI's segment. Smoothing the
     samples up to it gives the PoI's window bit for bit, since the moving
     average is a sequential cumsum per segment.
     """
     _, _, right = window_extent(cfg.window_len, series.rate)
     half = smooth_width(cfg.smooth_len, series.rate) // 2
-    t, i = series.t, poi.index
-    # the scan's own comparison picks the close rows; +1 row covers rounding
-    stop = int(np.searchsorted(t, t[i] + cfg.peak_min_gap, side="right")) + 1
-    close = i + int(np.flatnonzero(t[i:stop] - t[i] < cfg.peak_min_gap)[-1])
-    last = min(max(i + right, close + 1) + half, len(t) - 1)
-    gaps = np.flatnonzero(np.diff(t[i : last + 1]) > MAX_JITTER_FACTOR / series.rate)
-    return float(t[i + int(gaps[0]) if gaps.size else last])
+    t, n = series.t, len(series)
+    i = np.array([poi.index for poi in pois], dtype=np.int64)
+    # the scan's own comparison t[j] - t[i] < peak_min_gap picks the close
+    # rows; it rises with j, and no row past the rounded t[i] + peak_min_gap
+    # passes it, so step back from the last row at or below that sum
+    close = np.searchsorted(t, t[i] + cfg.peak_min_gap, side="right") - 1
+    while (far := t[close] - t[i] >= cfg.peak_min_gap).any():
+        close -= far
+    last = np.minimum(np.maximum(i + right, close + 1) + half, n - 1)
+    # the last row of each PoI's segment
+    cut = np.flatnonzero(np.diff(t) > MAX_JITTER_FACTOR / series.rate)
+    seg_last = np.append(cut, n - 1)[np.searchsorted(cut, i)]
+    return t[np.minimum(last, seg_last)].tolist()
 
 
 def extract_window(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> GestureWindow:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import classifier, ema, events, traceio, watch
 from .errors import ConfigError, InvalidAnswer, check_fields, field_hints
-from .signal_core import AccelSeries, DetectorConfig, decision_time, detect_pois, smooth
+from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, smooth
 from .traceio import ms
 
 
@@ -272,7 +272,7 @@ class HomeSimulation:
             self._log(
                 {"kind": "battery", "t_ms": ms(bt), "participant": pid, "percent": round(pct, 3)}
             )
-        # node.smoothed equals the smoothing of the samples shipped so far (decision_time)
+        # node.smoothed equals the smoothing of the samples shipped so far (decision_times)
         pois = [node.poi_at[poi_t] for poi_t in payload.pois]
         for poi, prob in classifier.gestures(self.weights, node.smoothed, pois, self.cfg.detector):
             record = {"kind": "gesture", "t_ms": ms(poi.t), "participant": pid}
@@ -439,8 +439,7 @@ class HomeSimulation:
                 while k * self.cfg.duty.beacon_interval <= end:
                     self._push(k * self.cfg.duty.beacon_interval, "scan", node)
                     k += 1
-            for poi in node.pois:
-                decided = decision_time(node.series, poi, self.cfg.detector)
+            for poi, decided in zip(node.pois, decision_times(node.series, node.pois, self.cfg.detector)):
                 if decided <= end:
                     self._push(decided, "poi", node, poi)
             first_hour = -(self.cfg.start_hour * 3600.0) % 3600.0

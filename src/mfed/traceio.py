@@ -184,8 +184,11 @@ def ms(t: float) -> int:
     return round(t * 1000)
 
 
+_JSONL = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per record
+
+
 def dump_jsonl_record(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
+    return _JSONL.encode(record)
 
 
 def write_jsonl(records, fh):

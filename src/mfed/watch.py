@@ -1,6 +1,6 @@
 """Watch-side node: upload quorum, cooldown, and duty-cycled sensors.
 
-The watch counts a PoI at its decision time (``signal_core.decision_time``).
+The watch counts a PoI at its decision time (``signal_core.decision_times``).
 When ``quorum`` PoIs land inside a sliding ``quorum_window`` it uploads
 immediately, unless the previous upload was under ``min_upload_gap`` ago,
 in which case the upload is marked pending and fires from ``on_tick`` at
@@ -90,8 +90,7 @@ def _unsent_samples(state: WatchState, now: float) -> AccelSeries | None:
         return None
     t = state.series.t
     lo = 0 if state.last_upload_t is None else np.searchsorted(t, state.last_upload_t, side="right")
-    hi = np.searchsorted(t, now, side="right")
-    return AccelSeries(state.series.rate, t[lo:hi], state.series.xyz[lo:hi])
+    return state.series.rows(lo, np.searchsorted(t, now, side="right"))
 
 
 def _battery_due(state: WatchState, now: float) -> bool:

@@ -140,7 +140,7 @@ class TestMaxPool:
         n_ties = 0
         for h in range(2, 22):
             x = rng.integers(-3, 4, size=(h, 2, 5)).astype(float)  # integer grid forces ties
-            out, arg = kernels.maxpool2(x)
+            out, arg = kernels.maxpool2(x), kernels.maxpool2_winners(x)
             top, bottom = x[0 : 2 * (h // 2) : 2], x[1 : 2 * (h // 2) : 2]
             ties = top == bottom
             n_ties += ties.sum()
@@ -153,7 +153,7 @@ class TestMaxPool:
         rng = np.random.default_rng(4)
         for h in range(2, 22):
             x = rng.integers(-3, 4, size=(h, 2, 5)).astype(float)
-            out, arg = kernels.maxpool2(x)
+            out, arg = kernels.maxpool2(x), kernels.maxpool2_winners(x)
             dout = rng.normal(size=out.shape)
             dx = kernels.maxpool2_backward(dout, arg, h)
             expected = np.zeros_like(x)
@@ -175,7 +175,7 @@ class TestMaxPool:
     def test_matches_argmax_form_bit_for_bit(self, case):
         x, dout = case
         h = x.shape[0]
-        out, arg = kernels.maxpool2(x)
+        out, arg = kernels.maxpool2(x), kernels.maxpool2_winners(x)
         out_ref, arg_ref = _maxpool2_argmax(x)
         assert out.dtype == out_ref.dtype and arg.dtype == arg_ref.dtype
         assert out.tobytes() == out_ref.tobytes()
@@ -249,7 +249,8 @@ class TestForward:
         rng = np.random.default_rng(4)
         for n in (7, 8, 9, 13, 20, 33, 150):
             w = C.init_weights(n, 25.0, rng)
-            p, cache = C._forward_pass(w, rng.normal(size=(2, n, 3)))
+            cache = {}
+            p = C._forward_pass(w, rng.normal(size=(2, n, 3)), cache)
             assert cache["flat"].shape == (2, C.flatten_dim(n))
             assert all(0.0 < pi < 1.0 for pi in p)
 
@@ -264,6 +265,25 @@ class TestForward:
         assert p == p_ref
         p_taps, _ = _window_forward(w, x, conv=_window_conv_taps)
         assert abs(p - p_taps) <= 1e-12 * p_taps
+
+    @given(st.integers(7, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_inference_equals_training_pass_bit_for_bit(self, n, b, seed):
+        rng = np.random.default_rng(seed)
+        w = _random_weights(n, rng)
+        xs = rng.normal(size=(b, n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
+        cache = {}
+        assert C._forward_pass(w, xs) == C._forward_pass(w, xs, cache)
+        assert {"i1", "i2", "p1", "p2", "flat", "a3", "a4"} <= cache.keys()
+        for x in xs:
+            assert C.forward(w, x) == C._forward_pass(w, x[None], {})[0]
+
+    def test_inference_computes_no_pool_winners(self, monkeypatch):
+        def winners(x):
+            raise AssertionError("inference read the pool winners")
+
+        monkeypatch.setattr(kernels, "maxpool2_winners", winners)
+        C.forward(small_weights(), np.random.default_rng(1).normal(size=(10, 3)))
 
     def test_row_count_mismatch(self):
         w = small_weights()

@@ -1,9 +1,11 @@
-"""The signal-stage kernels against their plain loop forms, bit for bit.
+"""The signal-stage kernels and the convolution columns against their plain
+forms, bit for bit.
 
-``_moving_average_gather`` and ``_poi_scan_loop`` are the earlier kernels,
-kept as references: the first gathers every row's window ends from the
-cumsum, the second suppresses all strict peaks and only then applies the
-threshold. The kernels must return the same bytes.
+``_moving_average_gather``, ``_poi_scan_loop`` and ``_im2col_concat`` are
+the earlier kernels, kept as references: the first gathers every row's
+window ends from the cumsum, the second suppresses all strict peaks and only
+then applies the threshold, the third concatenates the four tap views. The
+kernels must return the same bytes.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -128,3 +130,37 @@ class TestPoiScan:
         idx, _ = kernels.poi_scan(t, xyz, *args)
         idx_ref, _ = _poi_scan_loop(t, xyz, *args)
         assert idx.tolist() == idx_ref.tolist() == [1, 5]
+
+
+def _im2col_concat(x):
+    h, wd = x.shape[-3:-1]
+    return np.concatenate([x[..., di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in kernels._TAPS], axis=-1)
+
+
+@st.composite
+def conv_inputs(draw):
+    """A ``(..., H, W, C)`` input with 0-2 leading axes, C-ordered or not."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2), label="lead"),
+             draw(st.integers(2, 9), label="h"), draw(st.integers(2, 4), label="w"),
+             draw(st.sampled_from([1, 2, 32]), label="c"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    layout = draw(st.sampled_from(["c", "strided", "transposed"]), label="layout")
+    if layout == "strided":  # every other row and channel of a larger array
+        return rng.normal(size=(*shape[:-3], 2 * shape[-3], shape[-2], 2 * shape[-1]))[..., ::2, :, ::2]
+    if layout == "transposed":
+        return rng.normal(size=shape[::-1]).T
+    return rng.normal(size=shape)
+
+
+class TestIm2col:
+    @given(conv_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_four_view_concatenate_byte_for_byte(self, x):
+        before = x.copy()
+        cols = kernels._im2col(x)
+        ref = _im2col_concat(x)
+        assert cols.shape == ref.shape and cols.dtype == ref.dtype
+        assert cols.tobytes() == ref.tobytes()
+        # a copy, never a view of x, whose rows would overlap at W = 2
+        assert not np.shares_memory(cols, x)
+        assert np.array_equal(x, before)

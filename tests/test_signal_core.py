@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 import synth
 from mfed.errors import ConfigError, WindowOutOfBounds
 from mfed.signal_core import (
+    MAX_JITTER_FACTOR,
     AccelSeries,
     DetectorConfig,
     Poi,
+    decision_times,
     detect_pois,
     extract_window,
     smooth,
+    smooth_width,
     split_segments,
     window_extent,
 )
@@ -197,3 +201,82 @@ class TestAccelSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigError):
             AccelSeries(25.0, np.array([0.0, 0.04]), np.array([[0, 0, np.inf], [0, 0, 0]]))
+
+    @pytest.mark.parametrize(
+        "rate, t, xyz",
+        [
+            (0.0, [0.0, 0.04], np.zeros((2, 3))),
+            (np.inf, [0.0, 0.04], np.zeros((2, 3))),
+            ("25", [0.0, 0.04], np.zeros((2, 3))),
+            (25.0, [-0.04, 0.0], np.zeros((2, 3))),
+            (25.0, [0.0, np.nan], np.zeros((2, 3))),
+            (25.0, [0.04, 0.0], np.zeros((2, 3))),
+            (25.0, [0.0, 0.04], np.zeros((2, 2))),
+            (25.0, [0.0, 0.04], np.zeros((3, 3))),
+            (25.0, [0.0, 0.04], [[0.0, 0.0, np.nan], [0.0, 0.0, 0.0]]),
+        ],
+    )
+    def test_rejects_bad_input(self, rate, t, xyz):
+        with pytest.raises(ConfigError):
+            AccelSeries(rate, t, xyz)
+
+    def test_stores_contiguous_float64_arrays(self):
+        s = AccelSeries(25, [0, 1, 2], np.arange(18.0).reshape(3, 6)[:, ::2])
+        for a in (s.t, s.xyz):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+
+    def test_rows_are_a_slice_sharing_the_arrays(self):
+        s = synth.random_rough_trace(np.random.default_rng(2))
+        part = s.rows(3, 40)
+        assert type(part) is AccelSeries and part.rate == s.rate
+        assert part.t.tobytes() == s.t[3:40].tobytes() and part.xyz.tobytes() == s.xyz[3:40].tobytes()
+        assert np.shares_memory(part.t, s.t) and np.shares_memory(part.xyz, s.xyz)
+        assert part.t.flags.c_contiguous and part.xyz.flags.c_contiguous
+
+
+def _decision_time(series, poi, cfg):
+    """The per-PoI rule that ``decision_times`` computes in bulk."""
+    _, _, right = window_extent(cfg.window_len, series.rate)
+    half = smooth_width(cfg.smooth_len, series.rate) // 2
+    t, i = series.t, poi.index
+    stop = int(np.searchsorted(t, t[i] + cfg.peak_min_gap, side="right")) + 1
+    close = i + int(np.flatnonzero(t[i:stop] - t[i] < cfg.peak_min_gap)[-1])
+    last = min(max(i + right, close + 1) + half, len(t) - 1)
+    gaps = np.flatnonzero(np.diff(t[i : last + 1]) > MAX_JITTER_FACTOR / series.rate)
+    return float(t[i + int(gaps[0]) if gaps.size else last])
+
+
+@st.composite
+def decision_cases(draw):
+    """A gappy 25 Hz series, a detector config and PoIs at any of its rows."""
+    n = draw(st.integers(1, 120), label="n")
+    # 0.04 s spacing, jitter below the 0.06 s gap cut, and dropouts above it
+    steps = draw(hnp.arrays(np.float64, (n,), elements=st.sampled_from([0.04, 0.04, 0.04, 0.05, 0.08, 0.5, 3.0])),
+                 label="steps")
+    offset = draw(st.sampled_from([0.0, 0.1, 1000.1]) | st.floats(0.0, 1e5), label="offset")
+    t = offset + np.cumsum(steps) - steps[0]
+    cfg = DetectorConfig(
+        peak_min_gap=draw(st.sampled_from([0.04, 0.12, 2.0]) | st.floats(0.01, 5.0), label="gap"),
+        window_len=draw(st.sampled_from([0.2, 1.0, 6.0]), label="window_len"),
+        smooth_len=draw(st.sampled_from([0.0, 0.2, 1.0]), label="smooth_len"),
+    )
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=20), label="rows")
+    series = AccelSeries(25.0, t, np.zeros((n, 3)))
+    return series, cfg, [Poi(i, float(t[i]), 0.0, 0.0) for i in rows]
+
+
+class TestDecisionTimes:
+    @given(decision_cases())
+    @settings(max_examples=300, deadline=None)
+    # rows exactly peak_min_gap apart, which t[j] - t[i] may round either way
+    @example((AccelSeries(25.0, 0.1 + np.arange(80) * 0.04, np.zeros((80, 3))), DetectorConfig(peak_min_gap=0.12),
+              [Poi(i, 0.1 + i * 0.04, 0.0, 0.0) for i in range(80)]))
+    def test_equals_the_per_poi_rule(self, case):
+        series, cfg, pois = case
+        assert decision_times(series, pois, cfg) == [_decision_time(series, p, cfg) for p in pois]
+
+    def test_on_a_detected_trace(self):
+        s = synth.gesture_trace(np.random.default_rng(0), [20.0, 40.0, 60.0], duration=90.0)
+        cfg = DetectorConfig()
+        pois = detect_pois(smooth(s, cfg.smooth_len), cfg)
+        assert pois and decision_times(s, pois, cfg) == [_decision_time(s, p, cfg) for p in pois]

@@ -123,6 +123,28 @@ class TestPayloadConservation:
         joined = np.concatenate([p.accel.t for p in payloads if len(p.accel)])
         assert np.array_equal(joined, src.t)
 
+    def test_uploads_hold_exactly_the_series_rows(self):
+        rng = np.random.default_rng(3)
+        n = 20000
+        t = np.cumsum(rng.choice([0.04, 0.04, 0.05, 3.0], size=n))
+        src = AccelSeries(25.0, t, rng.normal(size=(n, 3)))
+        state = WatchState("p1", series=src)
+        payloads = []
+        now = 0.0
+        while now < t[-1] - 50.0:
+            now += float(rng.uniform(1.0, 40.0))
+            for result in (on_poi(state, now, POLICY, now), on_tick(state, now, POLICY)):
+                if result is not None:
+                    payloads.append(result.payload)
+        payloads.append(flush(state, float(t[-1])).payload)
+        assert len(payloads) > 5
+        for i, p in enumerate(payloads):
+            rows = (t <= p.span[1]) & ((t > p.span[0]) if i else True)
+            assert type(p.accel) is AccelSeries and p.accel.rate == src.rate
+            assert p.accel.t.tobytes() == t[rows].tobytes()
+            assert p.accel.xyz.tobytes() == src.xyz[rows].tobytes()
+            assert p.accel.t.flags.c_contiguous and p.accel.xyz.flags.c_contiguous
+
     def test_min_gap_between_uploads(self):
         rng = np.random.default_rng(1)
         state = WatchState("p1", series=series(duration=3000.0))
