@@ -199,10 +199,8 @@ def decision_times(series: AccelSeries, pois, cfg: DetectorConfig) -> list[float
     while (far := t[close] - t[i] >= cfg.peak_min_gap).any():
         close -= far
     last = np.minimum(np.maximum(i + right, close + 1) + half, n - 1)
-    # the last row of each PoI's segment
-    cut = np.flatnonzero(np.diff(t) > MAX_JITTER_FACTOR / series.rate)
-    seg_last = np.append(cut, n - 1)[np.searchsorted(cut, i)]
-    return t[np.minimum(last, seg_last)].tolist()
+    ends = np.array([hi - 1 for _, hi in split_segments(series)], dtype=np.int64)  # each segment's last row
+    return t[np.minimum(last, ends[np.searchsorted(ends, i)])].tolist()
 
 
 def extract_window(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> GestureWindow:

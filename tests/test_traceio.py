@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -265,3 +266,21 @@ def test_ground_truth_csv_tells_a_missed_detection_from_a_confirmed_one():
                       "son-3;mother-2;father-1", "True"]
     assert confirmed == missed[:-1] + ["False"]
 
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_jsonl_record_bytes_equal_json_dumps(record):
+    assert traceio.dump_jsonl_record(record) == json.dumps(record, separators=(",", ":"))
+
+
+def test_jsonl_record_is_compact():
+    record = {"kind": "gesture", "t_ms": 1500, "participant": "mom", "prob": 0.731059}
+    assert traceio.dump_jsonl_record(record) == '{"kind":"gesture","t_ms":1500,"participant":"mom","prob":0.731059}'
