@@ -82,30 +82,24 @@ class LabeledWindow:
     source: str = ""
 
 
-def pooled_len(h: int) -> int:
-    return h // 2
-
-
 def flatten_dim(n: int) -> int:
     """Flattened feature count after conv/pool/conv/pool for an n-row input."""
-    if n < 7:
-        raise ShapeError(f"input of {n} rows collapses before the second pool (need >= 7)")
-    h1 = pooled_len(n - 1)
-    h2 = pooled_len(h1 - 1)
-    return h2 * 1 * CONV2_FILTERS
+    return stage_shapes(n)[5][0]
 
 
 def stage_shapes(n: int) -> list[tuple[int, ...]]:
     """Tensor shapes through the network for an n-row window."""
-    h1 = pooled_len(n - 1)
-    h2 = pooled_len(h1 - 1)
+    if n < 7:
+        raise ShapeError(f"input of {n} rows collapses before the second pool (need >= 7)")
+    h1 = (n - 1) // 2
+    h2 = (h1 - 1) // 2
     return [
         (n, 3, 1),
         (n - 1, 2, CONV1_FILTERS),
         (h1, 2, CONV1_FILTERS),
         (h1 - 1, 1, CONV2_FILTERS),
         (h2, 1, CONV2_FILTERS),
-        (flatten_dim(n),),
+        (h2 * CONV2_FILTERS,),
         (DENSE_UNITS,),
         (DENSE_UNITS,),
         (1,),

@@ -399,34 +399,18 @@ class GroundTruthRecord:
     missed_detection: bool = False
 
 
-# who-with mention -> roster roles it may refer to, by reporter role
+# who-with mention -> {reporter role: roster roles it may refer to}; nobody,
+# grandparent, other_family, friends and other_people never resolve
 _PARENTS = (Role.MOTHER, Role.FATHER)
 _CHILDREN = (Role.SON, Role.DAUGHTER)
-
-
-def _mention_roles(reporter_role: Role, mention: str) -> tuple[Role, ...]:
-    if mention == "spouse_partner":
-        if reporter_role is Role.MOTHER:
-            return (Role.FATHER,)
-        if reporter_role is Role.FATHER:
-            return (Role.MOTHER,)
-    elif mention == "children":
-        if reporter_role in _PARENTS:
-            return _CHILDREN
-    elif mention == "mother":
-        if reporter_role in _CHILDREN:
-            return (Role.MOTHER,)
-    elif mention == "father":
-        if reporter_role in _CHILDREN:
-            return (Role.FATHER,)
-    elif mention == "sisters":
-        if reporter_role in _CHILDREN:
-            return (Role.DAUGHTER,)
-    elif mention == "brothers":
-        if reporter_role in _CHILDREN:
-            return (Role.SON,)
-    # nobody, grandparent, other_family, friends, other_people never resolve
-    return ()
+_MENTION_ROLES = {
+    "spouse_partner": {Role.MOTHER: (Role.FATHER,), Role.FATHER: (Role.MOTHER,)},
+    "children": dict.fromkeys(_PARENTS, _CHILDREN),
+    "mother": dict.fromkeys(_CHILDREN, (Role.MOTHER,)),
+    "father": dict.fromkeys(_CHILDREN, (Role.FATHER,)),
+    "sisters": dict.fromkeys(_CHILDREN, (Role.DAUGHTER,)),
+    "brothers": dict.fromkeys(_CHILDREN, (Role.SON,)),
+}
 
 
 def resolve_collaborative_gt(
@@ -462,7 +446,7 @@ def resolve_collaborative_gt(
         validate_who_with(resp.who_with)
         home = by_home[reporter.home_id]
         for mention in sorted(resp.who_with):
-            roles = _mention_roles(reporter.role, mention)
+            roles = _MENTION_ROLES.get(mention, {}).get(reporter.role, ())
             if not roles:
                 continue
             candidates = [p for p in home if p.role in roles and p.id != reporter.id]
@@ -532,16 +516,6 @@ def resolve_hourly_gt(
         if resp.kind is not SurveyKind.MOOD or resp.ate_last_hour is None or resp.t is None:
             continue
         lo, hi = resp.t - HOURLY_LOOKBACK, resp.t
-        if not resp.ate_last_hour:
-            records.append(
-                GroundTruthRecord(
-                    resp.participant_id,
-                    (lo, hi),
-                    Fact.WAS_NOT_EATING,
-                    Provenance(first_person=resp.survey_id),
-                )
-            )
-            continue
         seen = any(
             ev.end >= lo and ev.start <= hi for ev in by_participant.get(resp.participant_id, ())
         )
@@ -549,9 +523,9 @@ def resolve_hourly_gt(
             GroundTruthRecord(
                 resp.participant_id,
                 (lo, hi),
-                Fact.WAS_EATING,
+                Fact.WAS_EATING if resp.ate_last_hour else Fact.WAS_NOT_EATING,
                 Provenance(first_person=resp.survey_id),
-                missed_detection=not seen,
+                missed_detection=resp.ate_last_hour and not seen,
             )
         )
     return records

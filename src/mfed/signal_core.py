@@ -101,7 +101,7 @@ class GestureWindow:
     """The fixed-length sample window around one PoI."""
 
     poi: Poi
-    samples: np.ndarray  # (n, 3)
+    samples: np.ndarray  # (n, 3), read-only
 
 
 def window_extent(window_len: float, rate: float) -> tuple[int, int, int]:
@@ -204,7 +204,8 @@ def decision_times(series: AccelSeries, pois, cfg: DetectorConfig) -> list[float
 
 
 def extract_window(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> GestureWindow:
-    """Cut the ``window_len`` x rate sample block centered on a PoI.
+    """Cut the ``window_len`` x rate sample block centered on a PoI, as a
+    read-only view of the series' rows.
 
     Raises WindowOutOfBounds when the block would extend past either end of
     the series.
@@ -216,4 +217,6 @@ def extract_window(series: AccelSeries, poi: Poi, cfg: DetectorConfig) -> Gestur
         raise WindowOutOfBounds(
             f"window of {n} rows around index {poi.index} exceeds series of {len(series)}"
         )
-    return GestureWindow(poi, series.xyz[lo : hi + 1].copy())
+    samples = series.xyz[lo : hi + 1]
+    samples.flags.writeable = False
+    return GestureWindow(poi, samples)

@@ -169,8 +169,8 @@ class _Node:
 
     def __init__(self, spec: ParticipantSpec, cfg: HomeConfig, rng: np.random.Generator):
         self.spec = spec
+        self.pid = spec.participant.id
         self.rng = rng
-        pid = spec.participant.id
         self.series = (
             spec.series if spec.series is not None else traceio.load_trace(spec.trace, cfg.rate)
         )
@@ -183,8 +183,8 @@ class _Node:
         self.smoothed = smooth(self.series, cfg.detector.smooth_len)
         self.pois = detect_pois(self.smoothed, cfg.detector)
         self.poi_at = {poi.t: poi for poi in self.pois}  # upload payloads name PoIs by time
-        self.watch = watch.WatchState(pid, series=self.series, duty=cfg.duty)
-        self.stream = events.StreamDetector(pid)
+        self.watch = watch.WatchState(self.pid, series=self.series, duty=cfg.duty)
+        self.stream = events.StreamDetector(self.pid)
         self.schedule = ema.ScheduleState()
         self.finalized: list[events.EatingEvent] = []
         self.responses: list[ema.EmaResponse] = []
@@ -215,12 +215,20 @@ class HomeSimulation:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _log(self, record: dict):
+    def _write(self, record: dict):
         self.log_fh.write(traceio.dump_jsonl_record(record) + "\n")
         self.records += 1
 
+    def _log(self, kind: str, t: float, participant: str, **fields):
+        """Write one record of a participant: kind, time and participant, then ``fields``."""
+        self._write({"kind": kind, "t_ms": ms(t), "participant": participant, **fields})
+
     def _push(self, t: float, kind: str, node: _Node, payload=None):
         heapq.heappush(self.heap, (t, next(self.seq), kind, node, payload))
+
+    def _send(self, node: _Node, kind: ema.SurveyKind, at: float, trigger: str, event=None):
+        survey = ema.EmaSurvey(f"{node.pid}-{next(node.survey_seq)}", node.pid, kind, at, trigger, event)
+        self._push(at, "ema_send", node, survey)
 
     # -- event handlers ----------------------------------------------------
 
@@ -247,106 +255,44 @@ class HomeSimulation:
 
     def _handle_upload(self, t: float, node: _Node, upload: watch.Upload):
         payload = upload.payload
-        pid = node.spec.participant.id
         self._log(
-            {
-                "kind": "upload",
-                "t_ms": ms(t),
-                "participant": pid,
-                "span_start_ms": ms(payload.span[0]),
-                "span_end_ms": ms(payload.span[1]),
-                "samples": len(payload.accel) if payload.accel is not None else 0,
-            }
+            "upload", t, node.pid,
+            span_start_ms=ms(payload.span[0]), span_end_ms=ms(payload.span[1]), samples=len(payload.accel),
         )
         for bt, beacon_id, rssi in payload.beacon_readings:
-            self._log(
-                {
-                    "kind": "beacon",
-                    "t_ms": ms(bt),
-                    "participant": pid,
-                    "beacon": beacon_id,
-                    "rssi_dbm": rssi,
-                }
-            )
+            self._log("beacon", bt, node.pid, beacon=beacon_id, rssi_dbm=rssi)
         for bt, pct in payload.battery_samples:
-            self._log(
-                {"kind": "battery", "t_ms": ms(bt), "participant": pid, "percent": round(pct, 3)}
-            )
+            self._log("battery", bt, node.pid, percent=round(pct, 3))
         # node.smoothed equals the smoothing of the samples shipped so far (decision_times)
         pois = [node.poi_at[poi_t] for poi_t in payload.pois]
         for poi, prob in classifier.gestures(self.weights, node.smoothed, pois, self.cfg.detector):
-            record = {"kind": "gesture", "t_ms": ms(poi.t), "participant": pid}
-            if prob is not None:
-                record["prob"] = round(prob, 6)
-            self._log(record)
+            self._log("gesture", poi.t, node.pid, **({} if prob is None else {"prob": round(prob, 6)}))
             for emission in node.stream.observe(poi.t, t):
                 self._handle_emission(t, node, emission)
 
     def _handle_emission(self, t: float, node: _Node, emission):
-        pid = node.spec.participant.id
         if isinstance(emission, events.EventDetected):
             self.event_count += 1
-            event_id = f"{pid}-ev{self.event_count}"
-            self._log(
-                {
-                    "kind": "event_detected",
-                    "t_ms": ms(t),
-                    "participant": pid,
-                    "event": event_id,
-                    "start_ms": ms(emission.event.start),
-                }
-            )
+            event_id = f"{node.pid}-ev{self.event_count}"
+            self._log("event_detected", t, node.pid, event=event_id, start_ms=ms(emission.event.start))
             outcome = ema.on_event_detected(
                 node.spec.participant, emission.event, t, node.schedule, self.clock
             )
             if isinstance(outcome, ema.SendEatingEma):
-                survey = ema.EmaSurvey(
-                    id=f"{pid}-{next(node.survey_seq)}",
-                    participant_id=pid,
-                    kind=ema.SurveyKind.EATING,
-                    sent_t=outcome.at,
-                    trigger=f"event:{event_id}",
-                    event=emission.event,
-                )
-                self._push(outcome.at, "ema_send", node, survey)
+                self._send(node, ema.SurveyKind.EATING, outcome.at, f"event:{event_id}", emission.event)
             else:
-                self._log(
-                    {
-                        "kind": "ema_suppressed",
-                        "t_ms": ms(t),
-                        "participant": pid,
-                        "event": event_id,
-                        "reason": outcome.reason.value,
-                    }
-                )
+                self._log("ema_suppressed", t, node.pid, event=event_id, reason=outcome.reason.value)
         else:  # EventFinalized
             node.finalized.append(emission.event)
-            self._log(traceio.eating_event_record(emission.event))
+            self._write(traceio.eating_event_record(emission.event))
 
     def _handle_hour(self, t: float, node: _Node, _):
         outcome = ema.hourly_tick(node.spec.participant, t, node.schedule, self.clock)
         if isinstance(outcome, ema.SendMoodEma):
-            pid = node.spec.participant.id
-            survey = ema.EmaSurvey(
-                id=f"{pid}-{next(node.survey_seq)}",
-                participant_id=pid,
-                kind=ema.SurveyKind.MOOD,
-                sent_t=outcome.at,
-                trigger="hourly",
-            )
-            self._push(outcome.at, "ema_send", node, survey)
+            self._send(node, ema.SurveyKind.MOOD, outcome.at, "hourly")
 
     def _handle_ema_send(self, t: float, node: _Node, survey: ema.EmaSurvey):
-        self._log(
-            {
-                "kind": "ema_sent",
-                "t_ms": ms(t),
-                "participant": survey.participant_id,
-                "survey": survey.id,
-                "ema": survey.kind.value,
-                "trigger": survey.trigger,
-            }
-        )
+        self._log("ema_sent", t, node.pid, survey=survey.id, ema=survey.kind.value, trigger=survey.trigger)
         profile = node.spec.responder
         if node.rng.random() < profile.response_prob:
             delay = min(self.cfg.ema_ttl_s - 1.0, max(5.0, node.rng.exponential(profile.delay_mean_s)))
@@ -393,37 +339,24 @@ class HomeSimulation:
             state = ema.flow_step(state, answer)
         response = replace(state.collected, t=t)
         node.responses.append(response)
-        record = {
-            "kind": "ema_response",
-            "t_ms": ms(t),
-            "participant": survey.participant_id,
-            "survey": survey.id,
-            "ema": survey.kind.value,
-        }
         if survey.kind is ema.SurveyKind.EATING:
-            record["eating_confirmed"] = response.eating_confirmed
+            reply = {"eating_confirmed": response.eating_confirmed}
             if response.eating_confirmed:
-                record["who_with"] = sorted(response.who_with)
-                record["eating_type"] = response.eating_type
-                record["hunger"] = response.hunger
-                record["satiety"] = response.satiety
-                record["eah"] = list(response.eah)
+                reply["who_with"] = sorted(response.who_with)
+                reply["eating_type"] = response.eating_type
+                reply["hunger"] = response.hunger
+                reply["satiety"] = response.satiety
+                reply["eah"] = list(response.eah)
             else:
-                record["activities"] = sorted(response.not_eating_activity.options)
+                reply["activities"] = sorted(response.not_eating_activity.options)
         else:
-            record["ate_last_hour"] = response.ate_last_hour
-        record["mood"] = list(response.mood)
-        self._log(record)
+            reply = {"ate_last_hour": response.ate_last_hour}
+        self._log(
+            "ema_response", t, node.pid, survey=survey.id, ema=survey.kind.value, **reply, mood=list(response.mood)
+        )
 
     def _handle_ema_expire(self, t: float, node: _Node, survey: ema.EmaSurvey):
-        self._log(
-            {
-                "kind": "ema_expired",
-                "t_ms": ms(t),
-                "participant": survey.participant_id,
-                "survey": survey.id,
-            }
-        )
+        self._log("ema_expired", t, node.pid, survey=survey.id)
 
     # -- main loop ----------------------------------------------------------
 
@@ -476,7 +409,7 @@ class HomeSimulation:
         records += ema.resolve_collaborative_gt(responses, roster)
         records += ema.resolve_hourly_gt(responses, all_events)
         for r in records:
-            self._log({"kind": "ground_truth", "t_ms": ms(end), **traceio.ground_truth_fields(r)})
+            self._write({"kind": "ground_truth", "t_ms": ms(end), **traceio.ground_truth_fields(r)})
         return records
 
 

@@ -293,6 +293,8 @@ class TestForward:
     def test_too_short_window_rejected(self):
         with pytest.raises(ShapeError):
             C.flatten_dim(6)
+        with pytest.raises(ShapeError):
+            C.stage_shapes(6)
 
 
 def _constant_weights(out_b):

@@ -349,6 +349,37 @@ class TestCollaborativeGt:
         responses = [confirmed("sB", "B", hm(12), {"friends", "grandparent", "other_people"})]
         assert resolve_collaborative_gt(responses, roster) == []
 
+    # reporter -> {who-with option: the housemate it names} in a home of a
+    # mother, a father, a son, a daughter and an other_family member; every
+    # option left out names nobody
+    NAMED = {
+        "mom": {"spouse_partner": "dad"},  # "children" is ambiguous: son or daughter
+        "dad": {"spouse_partner": "mom"},
+        "son": {"mother": "mom", "father": "dad", "sisters": "daughter"},  # no other brother
+        "daughter": {"mother": "mom", "father": "dad", "brothers": "son"},  # no other sister
+        "aunt": {},
+    }
+
+    @pytest.mark.parametrize("reporter", sorted(NAMED))
+    def test_every_role_and_option(self, reporter):
+        roles = {"mom": Role.MOTHER, "dad": Role.FATHER, "son": Role.SON, "daughter": Role.DAUGHTER,
+                 "aunt": Role.OTHER_FAMILY}
+        roster = [Participant(pid, "h1", role) for pid, role in roles.items()]
+        named = {}
+        for option in sorted(ema.WHO_WITH_OPTIONS):
+            records = resolve_collaborative_gt([confirmed("s", reporter, hm(12), {option})], roster)
+            assert len(records) <= 1
+            if records:
+                named[option] = records[0].subject_id
+        assert named == self.NAMED[reporter]
+
+    @pytest.mark.parametrize("reporter", ["mom", "dad"])
+    def test_children_names_an_only_child(self, reporter):
+        roster = [Participant("mom", "h1", Role.MOTHER), Participant("dad", "h1", Role.FATHER),
+                  Participant("kid", "h1", Role.DAUGHTER)]
+        records = resolve_collaborative_gt([confirmed("s", reporter, hm(12), {"children"})], roster)
+        assert [r.subject_id for r in records] == ["kid"]
+
 
 def mood_response(survey_id, pid, t, ate):
     return EmaResponse(
@@ -373,6 +404,7 @@ class TestHourlyGt:
         records = resolve_hourly_gt([mood_response("s", "p1", hm(14), False)], [])
         assert records[0].fact is Fact.WAS_NOT_EATING
         assert records[0].window == (hm(13), hm(14))
+        assert records[0].missed_detection is False
 
     def test_other_participants_events_do_not_count(self):
         ev = detect_events([hm(13, 30), hm(13, 30) + 20, hm(13, 30) + 40], participant_id="p2")[0]

@@ -186,6 +186,15 @@ class TestExtractWindow:
         win = extract_window(s, poi, DetectorConfig())
         assert np.all(win.samples == -4.0)
 
+    def test_read_only_view_of_the_series(self):
+        s = constant_series(value=-4.0, n=1500)
+        poi = Poi(index=750, t=30.0, ax_value=-4.0, variance_sum=0.0)
+        win = extract_window(s, poi, DetectorConfig())
+        assert np.shares_memory(win.samples, s.xyz)
+        with pytest.raises(ValueError):
+            win.samples[0, 0] = 0.0
+        assert s.xyz.flags.writeable
+
     def test_window_extent_split(self):
         n, left, right = window_extent(6.0, 25.0)
         assert (n, left, right) == (150, 74, 75)

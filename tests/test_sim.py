@@ -459,6 +459,62 @@ class TestSharedMealScenario:
         assert any(r["missed_detection"] for r in hourly)
 
 
+def layout_home(weights=None):
+    """A home whose log holds every record kind: mom confirms her first meal
+    and has her second suppressed, dad denies his, and son never answers."""
+    def spec(pid, role, meals, annotated, prob):
+        gestures = [m + 20.0 * i for m in meals for i in range(6)]
+        return sim.ParticipantSpec(
+            participant=ema.Participant(pid, "h1", role),
+            series=synth.gesture_trace(np.random.default_rng(len(pid)), gestures, duration=5400.0),
+            annotation_times=tuple(gestures) if annotated else (),
+            responder=sim.ResponderProfile(response_prob=prob, delay_mean_s=30.0, who_with=("spouse_partner",)),
+        )
+
+    return sim.HomeConfig(
+        home_id="h1",
+        participants=(
+            spec("mom", ema.Role.MOTHER, (60.0, 1200.0), True, 1.0),
+            spec("dad", ema.Role.FATHER, (60.0,), False, 1.0),
+            spec("son", ema.Role.SON, (60.0,), True, 0.0),
+        ),
+        beacons=(sim.BeaconSpec("kitchen"),),
+        weights=weights,
+        seed=3,
+        start_hour=11.8,
+        ema_ttl_s=600.0,
+    )
+
+
+def _layout(record) -> str:
+    """The README's name for the layout of ``record``."""
+    if record["kind"] == "gesture":
+        return "gesture (with `weights`)" if "prob" in record else "gesture (without `weights`)"
+    if record["kind"] == "ema_response":
+        if record["ema"] == "mood":
+            return "ema_response (mood)"
+        return f"ema_response (eating, {'confirmed' if record['eating_confirmed'] else 'not confirmed'})"
+    return record["kind"]
+
+
+class TestLogLayout:
+    def test_every_kind_has_the_readme_key_order(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = re.search(r"\*\*Simulation log\*\*(.*?)\n\n(.*?)\n\n", readme, re.S).group(2)
+        documented = {}
+        for line in section.splitlines():
+            kind, variant, keys = re.fullmatch(r"- `(\w+)`(.*?): (.*)", line).groups()
+            documented[kind + variant] = keys.split(", ")
+        weights = classifier.init_weights(150, 25.0, np.random.default_rng(0))
+        weights.out_w[...] = 0.0
+        weights.out_b[...] = 1.0  # every window is a gesture
+        classifier.save_weights(weights, str(tmp_path / "w.npz"))
+        lines = run_to_lines(layout_home())[1] + run_to_lines(layout_home(str(tmp_path / "w.npz")))[1]
+        assert {_layout(r) for r in lines} == documented.keys()
+        for r in lines:
+            assert list(r) == documented[_layout(r)], _layout(r)
+
+
 def _readme_home_config() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     return re.search(r"\*\*Home config JSON\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
