@@ -63,15 +63,20 @@ class AccelSeries:
     def rows(self, lo: int, hi: int) -> "AccelSeries":
         """Rows ``lo:hi`` as a series sharing this one's arrays. A row slice
         of a valid series is valid, so it is not checked again."""
-        part = object.__new__(AccelSeries)
-        for name, value in (("rate", self.rate), ("t", self.t[lo:hi]), ("xyz", self.xyz[lo:hi])):
-            object.__setattr__(part, name, value)
-        return part
+        return _unchecked(self.rate, self.t[lo:hi], self.xyz[lo:hi])
 
     @property
     def duration(self) -> float:
         """Nominal duration in seconds (sample count over rate)."""
         return len(self) / self.rate
+
+
+def _unchecked(rate: float, t: np.ndarray, xyz: np.ndarray) -> AccelSeries:
+    """A series of arrays known to be valid, built without checking them."""
+    series = object.__new__(AccelSeries)
+    for name, value in (("rate", rate), ("t", t), ("xyz", xyz)):
+        object.__setattr__(series, name, value)
+    return series
 
 
 @dataclass(frozen=True)
@@ -139,16 +144,27 @@ def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
     """Centered moving average per channel, truncated at edges.
 
     Length and timestamps are preserved; smoothing never crosses a dropout
-    gap. ``smooth_len=0`` returns the input unchanged.
+    gap. ``smooth_len=0`` returns the input unchanged. The result shares
+    ``t`` with the input, which is valid already, so only the smoothed
+    values are checked: they are finite unless a cumsum overflowed, and
+    then this raises ConfigError. A one-segment series takes the moving
+    average's output as it is; each segment of a longer one is written into
+    one output array.
     """
     width = smooth_width(smooth_len, series.rate)
     if width <= 1 or len(series) == 0:
         return series
     half = width // 2
-    out = np.empty_like(series.xyz)
-    for lo, hi in split_segments(series):
-        out[lo:hi] = kernels.moving_average(series.xyz[lo:hi], half)
-    return AccelSeries(series.rate, series.t, out)
+    segments = split_segments(series)
+    if len(segments) == 1:
+        out = kernels.moving_average(series.xyz, half)
+    else:
+        out = np.empty_like(series.xyz)
+        for lo, hi in segments:
+            out[lo:hi] = kernels.moving_average(series.xyz[lo:hi], half)
+    if not np.all(np.isfinite(out)):
+        raise ConfigError("samples must be finite")
+    return _unchecked(series.rate, series.t, out)
 
 
 def detect_pois(series: AccelSeries, cfg: DetectorConfig) -> list[Poi]:

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,9 @@ ANNOTATION_HEADER = ("t_ms",)
 # ASCII separators \x1c-\x1f, a few non-ASCII letters), so any other
 # character sends the file to the line parser.
 _BULK_CHARS = b"0123456789+-.eE, \t\r\n"
+
+# A physical line, its end kept, as a file opened with newline="" reads it
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def load_trace(path: str, rate: float) -> AccelSeries:
@@ -82,19 +86,20 @@ def _header_ok(row, header) -> bool:
 
 def _read_bulk(path: str, header: tuple[str, ...]):
     """The bulk parse, or None where it cannot vouch for the result."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        if not _header_ok(next(reader, None), header):
-            return None
-        skip = reader.line_num
-        body = fh.read()
-    if not body.isascii():
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    row, skip, start = _first_row(raw)
+    if not _header_ok(row, header):
         return None
-    raw = body.encode("ascii")
-    del body  # free the text before numpy reads the file
-    if raw.translate(None, _BULK_CHARS) or not _fields_within_csv_limit(raw):
+    # The checks read the whole file rather than a copy of its body: only the
+    # header's characters may fall outside _BULK_CHARS, and a non-ASCII
+    # header or a long header field just sends the file to the line parser.
+    if not raw.isascii():
         return None
-    del raw
+    header_rest = raw[:start].translate(None, _BULK_CHARS)
+    if raw.translate(None, _BULK_CHARS) != header_rest or not _fields_within_csv_limit(raw):
+        return None
+    del raw  # free the file's bytes before numpy reads it
     dtype = np.dtype([("t_ms", np.int64), ("v", np.float64, (len(header) - 1,))])
     # An absolute path: np.loadtxt opens a "scheme://..." name as a URL.
     rows = np.loadtxt(
@@ -105,6 +110,22 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     if not (np.all(t[1:] > t[:-1]) and np.all(np.isfinite(values))):
         return None
     return t, values
+
+
+def _first_row(raw: bytes):
+    """The first csv row of ``raw`` (None if it has none), the number of
+    physical lines it spans and the offset after them. Only those lines are
+    decoded, as ``_open_csv`` decodes them."""
+    ends: list[int] = []
+
+    def lines():
+        for m in _LINE.finditer(raw):
+            ends.append(m.end())
+            yield m.group().decode("utf-8", "surrogateescape")
+
+    reader = csv.reader(lines())
+    row = next(reader, None)
+    return row, reader.line_num, ends[-1] if ends else 0
 
 
 def _fields_within_csv_limit(raw: bytes) -> bool:

@@ -132,6 +132,49 @@ class TestPoiScan:
         assert idx.tolist() == idx_ref.tolist() == [1, 5]
 
 
+# signal_core.window_extent(6.0, 25.0): the shipped 150-row window
+SHIPPED_LEFT, SHIPPED_RIGHT = 74, 75
+
+
+def _dips(n):
+    """``(t, xyz)`` of n rows at 25 Hz with a strict -4 dip on x every 10 rows."""
+    xyz = np.stack([np.zeros(n), np.arange(n) % 7.0, np.full(n, 9.81)], axis=1)
+    xyz[5::10, 0] = -4.0
+    return np.arange(n) / 25.0, xyz
+
+
+@st.composite
+def shipped_scans(draw):
+    """Arguments of one ``poi_scan`` call at the shipped window geometry, on
+    up to 2,000 rows of floats: windows long enough for the order in which
+    the variance sums add their rows to show in the last bits."""
+    n = draw(st.sampled_from([149, 150, 151]) | st.integers(0, 2000), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = draw(st.sampled_from([1e-3, 1.0, 3.0, 1e3]), label="scale")
+    raw = rng.normal(size=(n, 3)) * scale + [-2.5, 0.3, 10.7]
+    xyz = _moving_average_gather(raw, draw(st.sampled_from([0, 1, 12]), label="half"))
+    t = np.arange(n) / 25.0
+    x_th = draw(st.floats(-5.0, 0.0), label="x_th")
+    min_gap = draw(st.sampled_from([0.04, 0.5, 2.0]), label="min_gap")
+    _, var_all = _poi_scan_loop(t, xyz, x_th, -np.inf, min_gap, SHIPPED_LEFT, SHIPPED_RIGHT)
+    v_th = draw(st.sampled_from([-np.inf, 0.0, *var_all.tolist()]), label="v_th")
+    return t, xyz, x_th, v_th, min_gap, SHIPPED_LEFT, SHIPPED_RIGHT
+
+
+class TestPoiScanShippedWindow:
+    @given(shipped_scans())
+    @example((*_dips(149), -3.0, -np.inf, 0.04, SHIPPED_LEFT, SHIPPED_RIGHT))  # segment shorter than the window
+    @example((*_dips(400), -5.0, -np.inf, 0.04, SHIPPED_LEFT, SHIPPED_RIGHT))  # no peak at or below x_th
+    @example((*_dips(400), -3.0, -np.inf, 0.04, SHIPPED_LEFT, SHIPPED_RIGHT))  # 25 of the dips have whole windows
+    @settings(max_examples=60, deadline=None)
+    def test_equals_suppress_then_threshold_loop(self, args):
+        idx, var = kernels.poi_scan(*args)
+        idx_ref, var_ref = _poi_scan_loop(*args)
+        assert idx.dtype == idx_ref.dtype and var.dtype == var_ref.dtype
+        assert idx.tobytes() == idx_ref.tobytes()
+        assert var.tobytes() == var_ref.tobytes()
+
+
 def _im2col_concat(x):
     h, wd = x.shape[-3:-1]
     return np.concatenate([x[..., di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in kernels._TAPS], axis=-1)

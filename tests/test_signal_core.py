@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import synth
+from mfed import kernels
 from mfed.errors import ConfigError, WindowOutOfBounds
 from mfed.signal_core import (
     MAX_JITTER_FACTOR,
@@ -59,6 +60,27 @@ class TestSmooth:
         out = smooth(s, 1.0)
         assert len(out) == len(s)
         assert np.array_equal(out.t, s.t)
+
+    def test_shares_timestamps_with_its_input(self):
+        s = constant_series()
+        assert np.shares_memory(smooth(s, 1.0).t, s.t)
+
+    def test_segments_equal_their_own_moving_averages(self):
+        # segments of 40, 5 (shorter than the 25-row window) and 60 rows
+        rng = np.random.default_rng(7)
+        t = np.concatenate([np.arange(40), 50 + np.arange(5), 60 + np.arange(60)]) / 25.0
+        s = AccelSeries(25.0, t, rng.normal(size=(t.shape[0], 3)))
+        segments = split_segments(s)
+        assert segments == [(0, 40), (40, 45), (45, 105)]
+        expected = np.concatenate([kernels.moving_average(s.xyz[lo:hi], 12) for lo, hi in segments])
+        assert smooth(s, 1.0).xyz.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("gap", [False, True], ids=["one-segment", "two-segments"])
+    def test_overflowing_cumsum_raises(self, gap):
+        t = np.arange(100) / 25.0 + np.where(np.arange(100) >= 50, 10.0 * gap, 0.0)
+        s = AccelSeries(25.0, t, np.full((100, 3), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="finite"):
+            smooth(s, 1.0)
 
 
 class TestDetectPois:

@@ -213,6 +213,32 @@ class TestBulkMatchesLineParser:
             assert got == _outcome(lambda: load_trace(str(csv_path), 25.0))
         assert got[0] == "raised"
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"t_ms,ax,ay,az\r\n0,0.5,-1,9.8\r\n40,1e-3,2,9.7\r\n", None),
+            (b'"t_ms","ax","ay","az"\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', None),
+            (b'"t_ms\r\n",ax,ay,az\n0,0.5,-1,9.8\r40,1e-3,2,9.7', None),  # a header of two lines
+            (b"\xef\xbb\xbft_ms,ax,ay,az\n0,0.5,-1,9.8\n", 1),  # the BOM is part of the first field
+            (b"t_ms,ax,ay,az\n0,0.5,-1,9.8\n40,\xff,2,9.7\n", 3),
+        ],
+        ids=["crlf-body", "quoted-header", "two-line-header", "utf8-bom", "not-utf8-body"],
+    )
+    def test_bytes(self, csv_path, data, line):
+        csv_path.write_bytes(data)
+        with _line_parser_only():
+            expected = _outcome(lambda: load_trace(str(csv_path), 25.0))
+        if line is None:  # the bulk path reads it, to the line parser's arrays
+            with mock.patch.object(traceio, "_parse_lines", side_effect=AssertionError("fell back")):
+                got = _outcome(lambda: load_trace(str(csv_path), 25.0))
+            series = load_trace(str(csv_path), 25.0)
+            assert series.t.tolist() == [0.0, 0.04]
+            assert series.xyz.tolist() == [[0.5, -1.0, 9.8], [1e-3, 2.0, 9.7]]
+        else:
+            got = _outcome(lambda: load_trace(str(csv_path), 25.0))
+            assert got[:2] == ("raised", ParseError) and got[3] == line
+        assert got == expected
+
     @given(_csv_text(width=1))
     @settings(max_examples=300, deadline=None)
     def test_annotations(self, csv_path, text):
