@@ -423,7 +423,8 @@ def resolve_collaborative_gt(
     carry it. Mentions of one subject whose reporter event times chain
     within ``COLLAB_WINDOW`` coalesce into a single record; a record whose
     window covers the subject's own confirmed event gains merged
-    provenance. The result is independent of the order of ``responses``.
+    provenance. A window starts no earlier than the run, at 0. The result
+    is independent of the order of ``responses``.
     """
     by_id = {p.id: p for p in roster}
     by_home: dict[str, list[Participant]] = {}
@@ -459,7 +460,7 @@ def resolve_collaborative_gt(
         entries = sorted(set(mentions[subject_id]))
         for a, b in split_at_gaps([t for t, _ in entries], COLLAB_WINDOW):
             grp = entries[a:b]
-            lo = grp[0][0] - COLLAB_WINDOW
+            lo = max(grp[0][0] - COLLAB_WINDOW, 0.0)
             hi = grp[-1][0] + COLLAB_WINDOW
             first = None
             for own_t, own_survey in confirmed_own.get(subject_id, ()):

@@ -514,6 +514,13 @@ class TestLogLayout:
         for r in lines:
             assert list(r) == documented[_layout(r)], _layout(r)
 
+    def test_collaborative_window_starts_no_earlier_than_the_run(self):
+        # mom names dad for the meal whose event is 60 s in: 60 - 900 s clips to 0
+        _, lines, _ = run_to_lines(layout_home())
+        (collab,) = [r for r in records_of(lines, "ground_truth") if r["provenance"] == "collaborative"]
+        assert collab["subject"] == "dad"
+        assert (collab["start_ms"], collab["end_ms"]) == (0, 960_000)
+
 
 def _readme_home_config() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
