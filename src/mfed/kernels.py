@@ -9,16 +9,14 @@ Conventions:
   - smoothing and the PoI scan are bit-stable: their outputs equal, byte for
     byte, the plain per-row gather and suppress-then-threshold loop that the
     tests keep as references; the CNN layers are not (below)
-  - the PoI scan computes the window variances of all kept peaks in a few
-    gathers rather than four reductions per peak: each gather is a C-ordered
-    ``(L, k, 3)`` copy (window row, peak, channel), and its sums over axis 0
-    add the L rows one after another into k x 3 accumulators, the order in
-    which ``win.sum(axis=0)`` adds the rows of one ``(L, 3)`` window; a sum
-    along a contiguous L axis (a ``(k, 3, L)`` copy) adds pairwise and
-    changes the last bits, and a sum along a strided L axis with the three
-    channels innermost keeps them but took about 7 ns an element (x86-64,
-    numpy 2.4); the gathers hold at most ``_GATHER_ROWS`` window rows, so
-    their memory stays small next to the trace
+  - the PoI scan takes the window variances of k kept peaks from one
+    C-ordered ``(L, k, 3)`` gather (window row, peak, channel), not from
+    four reductions per peak: its sums over axis 0 add the L rows one after
+    another, as ``win.sum(axis=0)`` does on one ``(L, 3)`` window, so the
+    bytes are the same; a sum along a contiguous L axis (a ``(k, 3, L)``
+    copy) adds pairwise and changes the last bits, and one along a strided
+    L axis keeps them but took 7 ns an element (x86-64, numpy 2.4); a
+    gather holds at most ``_GATHER_ROWS`` rows, so its memory stays small
   - the CNN layers index ``x[..., h, w, c]``: any leading axes (a batch of
     windows) pass through, and ``conv2d_backward`` returns weight and bias
     gradients summed over them
@@ -56,8 +54,8 @@ def moving_average(x: np.ndarray, half: int) -> np.ndarray:
     n = x.shape[0]
     if half <= 0 or n == 0:
         return x.copy()
-    # before csum: freed above the result, csum goes back to the system rather
-    # than stay resident as a hole below it
+    # allocated before csum, so that csum, freed on return, lies above the result
+    # and goes back to the system instead of staying resident as a hole below it
     out = np.empty((n, x.shape[1]))
     csum = np.zeros((n + 1, x.shape[1]))
     np.cumsum(x, axis=0, out=csum[1:])
@@ -90,7 +88,7 @@ def moving_average(x: np.ndarray, half: int) -> np.ndarray:
 # suppression anchor later in time, where every peak it could suppress is
 # above x_th too.
 
-_GATHER_ROWS = 8192  # window rows whose variances one gather computes (192 KiB)
+_GATHER_ROWS = 8192  # at most this many window rows per variance gather (192 KiB)
 
 
 def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
