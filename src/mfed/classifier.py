@@ -60,8 +60,6 @@ def label_poi(poi_t: float, annotations) -> Label:
     d <= POSITIVE_BAND is Positive, POSITIVE_BAND < d <= AMBIGUOUS_BAND is
     Ambiguous, anything farther (or no annotations at all) is Negative.
     """
-    if not len(annotations):
-        return Label.NEGATIVE
     i = bisect.bisect_left(annotations, poi_t)
     d = math.inf
     if i < len(annotations):

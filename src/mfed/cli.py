@@ -214,10 +214,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except MfedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (MfedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -448,8 +448,6 @@ def resolve_collaborative_gt(
         home = by_home[reporter.home_id]
         for mention in sorted(resp.who_with):
             roles = _MENTION_ROLES.get(mention, {}).get(reporter.role, ())
-            if not roles:
-                continue
             candidates = [p for p in home if p.role in roles and p.id != reporter.id]
             if len(candidates) != 1:
                 continue  # nobody to name, or ambiguous among several

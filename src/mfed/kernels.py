@@ -50,13 +50,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 # centered moving average, window truncated at the series edges
 
 
-def moving_average(x: np.ndarray, half: int) -> np.ndarray:
+def moving_average(x: np.ndarray, half: int, out: np.ndarray) -> np.ndarray:
+    """The moving average of ``x``, written into ``out`` (same shape) and returned."""
     n = x.shape[0]
-    if half <= 0 or n == 0:
-        return x.copy()
-    # allocated before csum, so that csum, freed on return, lies above the result
-    # and goes back to the system instead of staying resident as a hole below it
-    out = np.empty((n, x.shape[1]))
+    if half <= 0:
+        out[...] = x
+        return out
     csum = np.zeros((n + 1, x.shape[1]))
     np.cumsum(x, axis=0, out=csum[1:])
     w = 2 * half + 1
@@ -94,8 +93,6 @@ _GATHER_ROWS = 8192  # at most this many window rows per variance gather (192 Ki
 def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
     xs = xyz[:, 0]
     n = xs.shape[0]
-    if n < 3:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
     mid = xs[1:-1]
     peaks = np.flatnonzero((mid < xs[:-2]) & (mid < xs[2:]) & (mid <= x_th)) + 1
 

@@ -147,21 +147,17 @@ def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
     gap. ``smooth_len=0`` returns the input unchanged. The result shares
     ``t`` with the input, which is valid already, so only the smoothed
     values are checked: they are finite unless a cumsum overflowed, and
-    then this raises ConfigError. A one-segment series takes the moving
-    average's output as it is; each segment of a longer one is written into
-    one output array.
+    then this raises ConfigError. Each segment's moving average is written
+    into its rows of one output array.
     """
     width = smooth_width(smooth_len, series.rate)
-    if width <= 1 or len(series) == 0:
+    if width <= 1:
         return series
-    half = width // 2
-    segments = split_segments(series)
-    if len(segments) == 1:
-        out = kernels.moving_average(series.xyz, half)
-    else:
-        out = np.empty_like(series.xyz)
-        for lo, hi in segments:
-            out[lo:hi] = kernels.moving_average(series.xyz[lo:hi], half)
+    # allocated before the cumsums, so that each cumsum, freed on return, lies above
+    # the result and goes back to the system instead of staying resident as a hole below it
+    out = np.empty_like(series.xyz)
+    for lo, hi in split_segments(series):
+        kernels.moving_average(series.xyz[lo:hi], width // 2, out[lo:hi])
     if not np.all(np.isfinite(out)):
         raise ConfigError("samples must be finite")
     return _unchecked(series.rate, series.t, out)

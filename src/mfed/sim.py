@@ -183,7 +183,7 @@ class _Node:
         self.smoothed = smooth(self.series, cfg.detector.smooth_len)
         self.pois = detect_pois(self.smoothed, cfg.detector)
         self.poi_at = {poi.t: poi for poi in self.pois}  # upload payloads name PoIs by time
-        self.watch = watch.WatchState(self.pid, series=self.series, duty=cfg.duty)
+        self.watch = watch.WatchState(self.series, duty=cfg.duty)
         self.stream = events.StreamDetector(self.pid)
         self.schedule = ema.ScheduleState()
         self.finalized: list[events.EatingEvent] = []
@@ -236,7 +236,7 @@ class HomeSimulation:
         upload = watch.on_poi(node.watch, poi.t, self.cfg.policy, t)
         if upload is not None:
             self._handle_upload(t, node, upload)
-        elif node.watch.pending_quorum and node.watch.last_upload_t is not None:
+        elif node.watch.pending_quorum:
             self._push(node.watch.last_upload_t + self.cfg.policy.min_upload_gap, "tick", node)
 
     def _handle_tick(self, t: float, node: _Node, _):
@@ -251,7 +251,7 @@ class HomeSimulation:
                 - 10.0 * beacon.path_loss_exp * math.log10(max(beacon.distance_m, 0.1))
                 + node.rng.normal(0.0, beacon.noise_db)
             )
-            watch.record_beacon_reading(node.watch, t, beacon.id, round(rssi, 2))
+            node.watch.pending_beacons.append((t, beacon.id, round(rssi, 2)))
 
     def _handle_upload(self, t: float, node: _Node, upload: watch.Upload):
         payload = upload.payload

@@ -9,8 +9,8 @@ taken after the previous upload up to and including its own time, and
 names every PoI counted since the previous upload.
 
 With a ``DutyCycleConfig``, beacon scans run at each ``k*beacon_interval``:
-the simulator schedules them and stores their readings with
-``record_beacon_reading``. The battery percentage is sampled at each
+the simulator schedules them and appends their readings to
+``pending_beacons``. The battery percentage is sampled at each
 ``k*battery_interval``. Both record kinds ride with the first upload at or
 after their capture time, or with the final flush.
 """
@@ -46,8 +46,7 @@ class DutyCycleConfig:
 
 @dataclass
 class WatchState:
-    participant_id: str
-    series: AccelSeries | None = None  # trace backing upload payloads
+    series: AccelSeries  # trace backing upload payloads
     duty: DutyCycleConfig | None = None  # None: no battery samples
     poi_times: list[float] = field(default_factory=list)  # inside the quorum window
     unsent_pois: list[float] = field(default_factory=list)  # counted since the last upload
@@ -60,10 +59,9 @@ class WatchState:
 
 @dataclass(frozen=True)
 class UploadPayload:
-    participant_id: str
     span: tuple[float, float]  # (previous upload or 0, this upload] in trace seconds
     pois: tuple[float, ...]  # peak times of the PoIs counted since the previous upload
-    accel: AccelSeries | None
+    accel: AccelSeries
     beacon_readings: tuple[tuple[float, str, float], ...]
     battery_samples: tuple[tuple[float, float], ...]
 
@@ -79,15 +77,8 @@ def _check_clock(state: WatchState, now: float):
     state.last_now = now
 
 
-def record_beacon_reading(state: WatchState, t: float, beacon_id: str, rssi_dbm: float):
-    """Store one opportunistic beacon reading for the next upload."""
-    state.pending_beacons.append((t, beacon_id, rssi_dbm))
-
-
-def _unsent_samples(state: WatchState, now: float) -> AccelSeries | None:
-    """Samples taken after the last upload up to ``now``; None without a trace."""
-    if state.series is None:
-        return None
+def _unsent_samples(state: WatchState, now: float) -> AccelSeries:
+    """Samples taken after the last upload up to ``now``."""
     t = state.series.t
     lo = 0 if state.last_upload_t is None else np.searchsorted(t, state.last_upload_t, side="right")
     return state.series.rows(lo, np.searchsorted(t, now, side="right"))
@@ -109,7 +100,6 @@ def _take_battery_samples(state: WatchState, now: float) -> tuple[tuple[float, f
 
 def _make_upload(state: WatchState, now: float) -> Upload:
     payload = UploadPayload(
-        state.participant_id,
         (0.0 if state.last_upload_t is None else state.last_upload_t, now),
         tuple(state.unsent_pois),
         _unsent_samples(state, now),
@@ -164,8 +154,7 @@ def flush(state: WatchState, now: float) -> Upload | None:
     ``now``, the PoIs not yet shipped, the pending beacon readings and the
     battery samples due."""
     _check_clock(state, now)
-    samples = _unsent_samples(state, now)
     pending = state.unsent_pois or state.pending_beacons or _battery_due(state, now)
-    if (samples is not None and len(samples)) or pending:
+    if len(_unsent_samples(state, now)) or pending:
         return _make_upload(state, now)
     return None

@@ -72,7 +72,9 @@ class TestSmooth:
         s = AccelSeries(25.0, t, rng.normal(size=(t.shape[0], 3)))
         segments = split_segments(s)
         assert segments == [(0, 40), (40, 45), (45, 105)]
-        expected = np.concatenate([kernels.moving_average(s.xyz[lo:hi], 12) for lo, hi in segments])
+        expected = np.concatenate(
+            [kernels.moving_average(s.xyz[lo:hi], 12, np.empty((hi - lo, 3))) for lo, hi in segments]
+        )
         assert smooth(s, 1.0).xyz.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("gap", [False, True], ids=["one-segment", "two-segments"])

@@ -11,7 +11,6 @@ from mfed.watch import (
     flush,
     on_poi,
     on_tick,
-    record_beacon_reading,
 )
 
 POLICY = UploadPolicy()
@@ -24,7 +23,7 @@ def series(duration=600.0, rate=25.0):
 
 class TestOnPoi:
     def test_quorum_uploads(self):
-        state = WatchState("p1", series=series())
+        state = WatchState(series())
         results = [on_poi(state, t, POLICY, t) for t in (0.0, 30.0, 60.0, 90.0)]
         assert results[:3] == [None, None, None]
         assert isinstance(results[3], Upload)
@@ -33,11 +32,11 @@ class TestOnPoi:
         assert state.poi_times == []
 
     def test_below_quorum_no_action(self):
-        state = WatchState("p1")
+        state = WatchState(series())
         assert all(on_poi(state, t, POLICY, t) is None for t in (0.0, 30.0, 60.0))
 
     def test_quorum_window_evicts_old_pois(self):
-        state = WatchState("p1")
+        state = WatchState(series())
         for t in (0.0, 30.0, 60.0):
             on_poi(state, t, POLICY, t)
         # 4th PoI at 130: the t=0 entry has left the 120 s window
@@ -45,7 +44,7 @@ class TestOnPoi:
         assert state.poi_times == [30.0, 60.0, 130.0]
 
     def test_cooldown_defers_upload_to_tick(self):
-        state = WatchState("p1", series=series())
+        state = WatchState(series())
         for t in (0.0, 30.0, 60.0, 90.0):
             on_poi(state, t, POLICY, t)
         for t in (100.0, 105.0, 110.0, 115.0):
@@ -60,26 +59,26 @@ class TestOnPoi:
         # the simulator ticks at last_upload_t + min_upload_gap; here
         # (44.04 + 43.0) - 44.04 < 43.0 in floating point
         policy = UploadPolicy(quorum=1, quorum_window=10.0, min_upload_gap=43.0)
-        state = WatchState("p1", series=series())
+        state = WatchState(series())
         assert on_poi(state, 44.04, policy, 44.04) is not None
         assert on_poi(state, 50.0, policy, 50.0) is None and state.pending_quorum
         assert isinstance(on_tick(state, 44.04 + 43.0, policy), Upload)
 
     def test_clock_regression(self):
-        state = WatchState("p1")
+        state = WatchState(series())
         on_poi(state, 10.0, POLICY, 10.0)
         with pytest.raises(ClockRegression):
             on_poi(state, 5.0, POLICY, 5.0)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
-            on_poi(WatchState("p"), 0.0, UploadPolicy(quorum=0), 0.0)
+            on_poi(WatchState(series()), 0.0, UploadPolicy(quorum=0), 0.0)
 
 
 class TestOnTick:
     def test_duty_cycle_schedule(self):
         # a battery sample ships with the first upload at or after its time
-        state = WatchState("p1", series=series(), duty=DutyCycleConfig())
+        state = WatchState(series(), duty=DutyCycleConfig())
         policy = UploadPolicy(quorum=1, min_upload_gap=0.0)
         shipped = [on_poi(state, t, policy, t).payload.battery_samples for t in (0.0, 100.0, 250.0)]
         shipped.append(flush(state, 300.0).payload.battery_samples)
@@ -90,10 +89,10 @@ class TestOnTick:
 
     def test_duty_validation(self):
         with pytest.raises(ConfigError):
-            WatchState("p1", duty=DutyCycleConfig(battery_interval=0.0))
+            WatchState(series(), duty=DutyCycleConfig(battery_interval=0.0))
 
     def test_disabled_duty_is_silent(self):
-        state = WatchState("p1")
+        state = WatchState(series(duration=0.0))
         assert on_tick(state, 100.0, POLICY) is None
         assert flush(state, 100.0) is None
 
@@ -102,7 +101,7 @@ class TestPayloadConservation:
     def test_spans_partition_series(self):
         rng = np.random.default_rng(0)
         src = series(duration=1200.0)
-        state = WatchState("p1", series=src)
+        state = WatchState(src)
         payloads = []
         t = 0.0
         for _ in range(200):
@@ -128,7 +127,7 @@ class TestPayloadConservation:
         n = 20000
         t = np.cumsum(rng.choice([0.04, 0.04, 0.05, 3.0], size=n))
         src = AccelSeries(25.0, t, rng.normal(size=(n, 3)))
-        state = WatchState("p1", series=src)
+        state = WatchState(src)
         payloads = []
         now = 0.0
         while now < t[-1] - 50.0:
@@ -147,7 +146,7 @@ class TestPayloadConservation:
 
     def test_min_gap_between_uploads(self):
         rng = np.random.default_rng(1)
-        state = WatchState("p1", series=series(duration=3000.0))
+        state = WatchState(series(duration=3000.0))
         upload_times = []
         t = 0.0
         for _ in range(400):
@@ -161,7 +160,7 @@ class TestPayloadConservation:
         assert np.all(gaps >= POLICY.min_upload_gap)
 
     def test_quorum_streams_eventually_upload(self):
-        state = WatchState("p1", series=series())
+        state = WatchState(series())
         uploads = []
         for t in (0.0, 10.0, 20.0, 30.0):
             r = on_poi(state, t, POLICY, t)
@@ -173,7 +172,7 @@ class TestPayloadConservation:
         # any stream with a quorum-dense burst uploads within one cooldown
         rng = np.random.default_rng(7)
         for _ in range(30):
-            state = WatchState("p1", series=series(duration=4000.0))
+            state = WatchState(series(duration=4000.0))
             t = 0.0
             uploads = 0
             burst_at = None
@@ -188,20 +187,20 @@ class TestPayloadConservation:
                 assert uploads >= 1
 
     def test_beacon_records_ride_next_upload(self):
-        state = WatchState("p1", series=series())
-        record_beacon_reading(state, 2.0, "kitchen", -61.5)
+        state = WatchState(series())
+        state.pending_beacons.append((2.0, "kitchen", -61.5))
         for t in (10.0, 20.0, 30.0, 40.0):
             result = on_poi(state, t, POLICY, t)
         assert result.payload.beacon_readings == ((2.0, "kitchen", -61.5),)
         assert state.pending_beacons == []
 
     def test_flush_ships_due_battery_samples(self):
-        state = WatchState("p1", duty=DutyCycleConfig(battery_interval=30.0))
+        state = WatchState(series(duration=0.0), duty=DutyCycleConfig(battery_interval=30.0))
         assert [t for t, _ in flush(state, 75.0).payload.battery_samples] == [0.0, 30.0, 60.0]
         assert flush(state, 89.0) is None
 
     def test_flush_covers_tail(self):
-        state = WatchState("p1", series=series(duration=10.0))
+        state = WatchState(series(duration=10.0))
         final = flush(state, 10.0)
         assert final is not None
         assert len(final.payload.accel) == 250
