@@ -147,7 +147,7 @@ def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
     gap. ``smooth_len=0`` returns the input unchanged. The result shares
     ``t`` with the input, which is valid already, so only the smoothed
     values are checked: they are finite unless a cumsum overflowed, and
-    then this raises ConfigError. Each segment's moving average is written
+    then this raises ConfigError without a numpy warning. Each segment's moving average is written
     into its rows of one output array.
     """
     width = smooth_width(smooth_len, series.rate)
@@ -156,10 +156,11 @@ def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
     # allocated before the cumsums, so that each cumsum, freed on return, lies above
     # the result and goes back to the system instead of staying resident as a hole below it
     out = np.empty_like(series.xyz)
-    for lo, hi in split_segments(series):
-        kernels.moving_average(series.xyz[lo:hi], width // 2, out[lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for lo, hi in split_segments(series):
+            kernels.moving_average(series.xyz[lo:hi], width // 2, out[lo:hi])
     if not np.all(np.isfinite(out)):
-        raise ConfigError("samples must be finite")
+        raise ConfigError("smoothing overflowed: the smoothed samples are not finite")
     return _unchecked(series.rate, series.t, out)
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ class TestSweepAndRate:
         trace.write_text("t_ms,ax,ay,az\n0,0,0,9.8\n40,0,0,9.8\n80,nan,0,9.8\n")
         assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
         assert "error: line 4: samples must be finite" in capsys.readouterr().err
+
+    def test_smoothing_overflow_exit_2_without_warnings(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_ms,ax,ay,az\n" + "".join(f"{40 * i},1e308,1e308,1e308\n" for i in range(100)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
+        assert "error: smoothing overflowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["detect", "poi-rate", "sweep"])
     @pytest.mark.parametrize("flag,key", [("--xth", "x_th"), ("--vth", "v_th"), ("--rate", "rate")])
