@@ -503,7 +503,7 @@ def resolve_hourly_gt(
 
     A yes with no detected event overlapping the prior hour flags a missed
     detection; a yes with one corroborates it; a no records not-eating for
-    the hour.
+    the hour. A window starts no earlier than the run, at 0.
     """
     by_participant: dict[str, list[EatingEvent]] = {}
     for ev in detected_events:
@@ -514,7 +514,7 @@ def resolve_hourly_gt(
     for resp in mood_responses:
         if resp.kind is not SurveyKind.MOOD or resp.ate_last_hour is None or resp.t is None:
             continue
-        lo, hi = resp.t - HOURLY_LOOKBACK, resp.t
+        lo, hi = max(resp.t - HOURLY_LOOKBACK, 0.0), resp.t
         seen = any(
             ev.end >= lo and ev.start <= hi for ev in by_participant.get(resp.participant_id, ())
         )

@@ -521,6 +521,15 @@ class TestLogLayout:
         assert collab["subject"] == "dad"
         assert (collab["start_ms"], collab["end_ms"]) == (0, 960_000)
 
+    def test_hourly_window_starts_no_earlier_than_the_run(self):
+        # from 11:30 the first mood EMA goes out at 12:00 and is answered about
+        # 1847 s in: its hour of lookback clips to 0
+        cfg = sim.HomeConfig(home_id="h1", participants=(flat_spec(),), duty=None, seed=3, start_hour=11.5)
+        first = records_of(run_to_lines(cfg)[1], "ground_truth")[0]
+        assert first["sources"] == ["p1-1"]
+        assert (first["start_ms"], first["end_ms"]) == (0, 1_846_759)
+        assert first["missed_detection"] is False
+
 
 def _readme_home_config() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
