@@ -88,14 +88,23 @@ class SweepRow:
     f1: float
 
 
+def _gesture_times(series: AccelSeries, cfgs: list[DetectorConfig], weights) -> list[tuple[list[float], int]]:
+    """``detect_gesture_times`` for each of ``cfgs``, which differ only in
+    their thresholds: a PoI's window depends on its index alone, so the
+    series is smoothed once and each distinct PoI classified once."""
+    smoothed = smooth(series, cfgs[0].smooth_len)
+    found = [detect_pois(smoothed, c) for c in cfgs]
+    distinct = sorted({poi.index: poi for pois in found for poi in pois}.values(), key=lambda poi: poi.index)
+    accepted = {poi.index for poi, _ in _classifier.gestures(weights, smoothed, distinct, cfgs[0])}
+    return [([poi.t for poi in pois if poi.index in accepted], len(pois)) for pois in found]
+
+
 def detect_gesture_times(series: AccelSeries, cfg: DetectorConfig, weights=None) -> tuple[list[float], int]:
     """(classified gesture times, PoI count) for one raw series.
 
     Without weights every PoI counts as a gesture (threshold-only mode).
     """
-    smoothed = smooth(series, cfg.smooth_len)
-    pois = detect_pois(smoothed, cfg)
-    return [poi.t for poi, _ in _classifier.gestures(weights, smoothed, pois, cfg)], len(pois)
+    return _gesture_times(series, [cfg], weights)[0]
 
 
 def threshold_sweep(
@@ -107,16 +116,15 @@ def threshold_sweep(
     tolerance: float = 4.0,
 ) -> list[SweepRow]:
     """Full cross product of thresholds over the default detector; one row
-    per (x_th, v_th)."""
+    per (x_th, v_th). The trace is smoothed once, and each distinct PoI
+    window is classified once."""
     if not x_th_list or not v_th_list:
         raise ValueError("threshold lists must be non-empty")
     _require_samples(series)
     minutes = series.duration / 60.0
+    cfgs = [DetectorConfig(x_th=x_th, v_th=v_th) for x_th in x_th_list for v_th in v_th_list]
     rows = []
-    for x_th in x_th_list:
-        for v_th in v_th_list:
-            c = DetectorConfig(x_th=x_th, v_th=v_th)
-            times, n_pois = detect_gesture_times(series, c, weights)
-            m = match_gestures(times, annotations, tolerance)
-            rows.append(SweepRow(x_th, v_th, n_pois / minutes, m.precision, m.recall, m.f1))
+    for c, (times, n_pois) in zip(cfgs, _gesture_times(series, cfgs, weights)):
+        m = match_gestures(times, annotations, tolerance)
+        rows.append(SweepRow(c.x_th, c.v_th, n_pois / minutes, m.precision, m.recall, m.f1))
     return rows

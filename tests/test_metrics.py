@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synth
+from mfed import classifier
 from mfed.metrics import (
     Metrics,
     PoiRateReport,
+    SweepRow,
     detect_gesture_times,
     match_gestures,
     poi_rate,
     threshold_sweep,
 )
-from mfed.signal_core import DetectorConfig
+from mfed.signal_core import DetectorConfig, detect_pois, extract_window, smooth
 
 
 class TestMatchGestures:
@@ -114,11 +120,81 @@ class TestThresholdSweep:
             (-1.0, 0.0), (-1.0, 1.0), (-1.0, 2.0), (-3.0, 0.0), (-3.0, 1.0), (-3.0, 2.0),
         ]
 
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_per_pair_detection(self, data):
+        series, annotations = _sweep_trace(data)
+        x_th_list = data.draw(st.lists(st.sampled_from([-1.0, -2.0, -3.0, -4.0, -6.0]), min_size=1, max_size=4))
+        v_th_list = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3))
+        weights = None
+        if data.draw(st.booleans(), label="weights"):
+            weights = _split_weights(series, data.draw(st.integers(0, 2**16), label="weights seed"))
+        tolerance = data.draw(st.sampled_from([1.0, 4.0]), label="tolerance")
+        rows = threshold_sweep(series, annotations, x_th_list, v_th_list, weights, tolerance)
+        assert rows == _sweep_per_pair(series, annotations, x_th_list, v_th_list, weights, tolerance)
+
+    def test_each_distinct_window_classified_once(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        series = synth.random_rough_trace(rng, rate=25.0, min_len=2000, max_len=2001)
+        weights = _split_weights(series, 0)
+        x_th_list, v_th_list = [-1.0, -2.0, -3.0], [0.0, 1.0]
+        smoothed = smooth(series, DetectorConfig().smooth_len)
+        per_pair = [[p.index for p in detect_pois(smoothed, DetectorConfig(x_th=x, v_th=v))]
+                    for x in x_th_list for v in v_th_list]
+        seen = []
+        forward = classifier.forward
+
+        def counting_forward(w, window):
+            seen.append(window.poi.index)
+            return forward(w, window)
+
+        monkeypatch.setattr(classifier, "forward", counting_forward)
+        threshold_sweep(series, [], x_th_list, v_th_list, weights)
+        assert seen == sorted({i for pois in per_pair for i in pois})
+        assert len(seen) < sum(map(len, per_pair))
+
     def test_empty_lists_rejected(self):
         rng = np.random.default_rng(8)
         series = synth.noise_trace(rng, duration=10.0)
         with pytest.raises(ValueError):
             threshold_sweep(series, [], [], [1.0])
+
+
+def _sweep_trace(data):
+    """A drawn trace and sorted annotation times: planted gestures on noise,
+    or a jagged trace whose peaks fall on both sides of every threshold."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="trace seed"))
+    if data.draw(st.booleans(), label="rough"):
+        series = synth.random_rough_trace(rng, rate=25.0, min_len=750, max_len=2250)
+        times = data.draw(st.lists(st.floats(0.0, series.duration), max_size=10), label="annotations")
+        return series, sorted(times)
+    gestures = data.draw(st.lists(st.floats(8.0, 72.0), max_size=6), label="gestures")
+    depth = data.draw(st.floats(1.5, 8.0), label="depth")
+    return synth.gesture_trace(rng, gestures, duration=80.0, depth=depth), sorted(gestures)
+
+
+def _split_weights(series, seed):
+    """``init_weights`` with the output bias set so that about half the
+    default detector's PoI windows are accepted."""
+    weights = classifier.init_weights(150, 25.0, np.random.default_rng(seed))
+    smoothed = smooth(series, DetectorConfig().smooth_len)
+    cfg = DetectorConfig(x_th=-1.0, v_th=0.0)
+    probs = [classifier.forward(weights, extract_window(smoothed, p, cfg)) for p in detect_pois(smoothed, cfg)]
+    if probs:
+        weights.out_b[...] = -float(np.median([math.log(p / (1.0 - p)) for p in probs]))
+    return weights
+
+
+def _sweep_per_pair(series, annotations, x_th_list, v_th_list, weights, tolerance):
+    """The sweep as one detection per (x_th, v_th) pair."""
+    minutes = series.duration / 60.0
+    rows = []
+    for x_th in x_th_list:
+        for v_th in v_th_list:
+            times, n_pois = detect_gesture_times(series, DetectorConfig(x_th=x_th, v_th=v_th), weights)
+            m = match_gestures(times, annotations, tolerance)
+            rows.append(SweepRow(x_th, v_th, n_pois / minutes, m.precision, m.recall, m.f1))
+    return rows
 
 
 def test_ratios_are_pure_arithmetic():
