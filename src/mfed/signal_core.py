@@ -147,8 +147,8 @@ def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
     gap. ``smooth_len=0`` returns the input unchanged. The result shares
     ``t`` with the input, which is valid already, so only the smoothed
     values are checked: they are finite unless a cumsum overflowed, and
-    then this raises ConfigError without a numpy warning. Each segment's moving average is written
-    into its rows of one output array.
+    then this raises ConfigError without a numpy warning. Each segment's
+    moving average is written into its rows of one output array.
     """
     width = smooth_width(smooth_len, series.rate)
     if width <= 1:
