@@ -174,8 +174,8 @@ def _sweep_trace(data):
 
 
 def _split_weights(series, seed):
-    """``init_weights`` with the output bias set so that about half the
-    default detector's PoI windows are accepted."""
+    """``init_weights`` with the output bias set so that about half the PoI
+    windows of the loosest swept cell (x_th -1, v_th 0) are accepted."""
     weights = classifier.init_weights(150, 25.0, np.random.default_rng(seed))
     smoothed = smooth(series, DetectorConfig().smooth_len)
     cfg = DetectorConfig(x_th=-1.0, v_th=0.0)
