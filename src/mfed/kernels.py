@@ -24,10 +24,10 @@ Conventions:
     views side by side on the channel axis, ``(rows, 4C) @ (4C, F)``, then
     the bias; how the product sums its terms is up to the BLAS build, so CNN
     activations and probabilities are stable only to the last bits
-  - the columns are one copy of a strided view with two tap axes when
-    C > 1 (about 7 against 13 us for one conv2 input) and a concatenate of
-    the four tap views when C = 1, where the strided copy was slower at
-    batches of 4 and more (x86-64, numpy 2.4); both give the same bytes
+  - the columns are one copy of a strided view with two tap axes, for any
+    C: the bytes of a concatenate of the four tap views, in about 7 against
+    13 us for one conv2 input; for conv1 (C = 1) the concatenate was about
+    as fast at batches of 1 to 4 and faster at 16 (x86-64, numpy 2.4)
   - max-pooling halves the time axis (pairs, stride 2, floor); the later
     row of a pair wins only when strictly greater, so ties keep the earlier
     row, matching ``np.argmax`` on NaN-free input
@@ -133,8 +133,6 @@ _TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the row order of w.reshape(4C, F)
 def _im2col(x):
     """``(..., H-1, W-1, 4C)``: the input under each kernel tap, side by side."""
     *lead, h, wd, c = x.shape
-    if c == 1:  # a concatenate of four views: faster than the strided copy here
-        return np.concatenate([x[..., di : h - 1 + di, dj : wd - 1 + dj, :] for di, dj in _TAPS], axis=-1)
     # one copy of a (..., H-1, W-1, 2, 2, C) view whose two tap axes step
     # like the row and column axes; np.ndarray builds it without the Python
     # cost of as_strided

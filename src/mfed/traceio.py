@@ -8,9 +8,11 @@ numbers.
 
 Both readers parse the body in bulk first: one ``np.loadtxt`` call, then
 vectorised monotonicity and finiteness checks. The bulk path only vouches
-for plain numeric text. Whenever it raises, warns (an empty body), meets a
-character outside ``_BULK_CHARS`` or a field the csv module would refuse,
-or fails a check, the line parser reads the file again. The line parser is
+for plain numeric text under a header that is the file's first line.
+Whenever it raises, warns (an empty body), meets a header that spans lines
+or no line end, a character outside ``_BULK_CHARS`` or a field the csv
+module would refuse, or fails a check, the line parser reads the file
+again. The line parser is
 the reference: it returns the same arrays the bulk path would, accepts
 what Python's ``csv``, ``int`` and ``float`` accept (quoted fields, ``1_0``,
 whitespace-only lines), and raises the line-numbered error.
@@ -22,7 +24,6 @@ import itertools
 import json
 import math
 import os
-import re
 import warnings
 
 import numpy as np
@@ -41,10 +42,6 @@ ANNOTATION_HEADER = ("t_ms",)
 # ASCII separators \x1c-\x1f, a few non-ASCII letters), so any other
 # character sends the file to the line parser.
 _BULK_CHARS = b"0123456789+-.eE, \t\r\n"
-
-# A physical line, its end kept, as a file opened with newline="" reads it
-_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
 
 def load_trace(path: str, rate: float) -> AccelSeries:
     """Read a trace CSV and validate the declared sampling rate."""
@@ -88,14 +85,18 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     """The bulk parse, or None where it cannot vouch for the result."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    row, skip, start = _first_row(raw)
+    # The header is the first line, up to and including its \n. Its ASCII
+    # decode raises on any other byte and strict csv on a quote left open, so
+    # a header row that spans lines goes to the line parser, as does a file
+    # without a \n. np.loadtxt skips that line; a \r in a quoted header field
+    # would leave the closing quote on numpy's next line, which then raises.
+    start = raw.find(b"\n") + 1
+    row = next(csv.reader([raw[:start].decode("ascii")], strict=True)) if start else None
     if not _header_ok(row, header):
         return None
     # The checks read the whole file rather than a copy of its body: only the
-    # header's characters may fall outside _BULK_CHARS, and a non-ASCII
-    # header or a long header field just sends the file to the line parser.
-    if not raw.isascii():
-        return None
+    # header's characters may fall outside _BULK_CHARS, and a long header
+    # field just sends the file to the line parser.
     header_rest = raw[:start].translate(None, _BULK_CHARS)
     if raw.translate(None, _BULK_CHARS) != header_rest or not _fields_within_csv_limit(raw):
         return None
@@ -103,29 +104,13 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     dtype = np.dtype([("t_ms", np.int64), ("v", np.float64, (len(header) - 1,))])
     # An absolute path: np.loadtxt opens a "scheme://..." name as a URL.
     rows = np.loadtxt(
-        os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=1
+        os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
     )
     t = rows["t_ms"] / 1000.0
     values = np.ascontiguousarray(rows["v"])
     if not (np.all(t[1:] > t[:-1]) and np.all(np.isfinite(values))):
         return None
     return t, values
-
-
-def _first_row(raw: bytes):
-    """The first csv row of ``raw`` (None if it has none), the number of
-    physical lines it spans and the offset after them. Only those lines are
-    decoded, as ``_open_csv`` decodes them."""
-    ends: list[int] = []
-
-    def lines():
-        for m in _LINE.finditer(raw):
-            ends.append(m.end())
-            yield m.group().decode("utf-8", "surrogateescape")
-
-    reader = csv.reader(lines())
-    row = next(reader, None)
-    return row, reader.line_num, ends[-1] if ends else 0
 
 
 def _fields_within_csv_limit(raw: bytes) -> bool:

@@ -214,30 +214,48 @@ class TestBulkMatchesLineParser:
         assert got[0] == "raised"
 
     @pytest.mark.parametrize(
-        "data, line",
+        "data, reader",
         [
-            (b"t_ms,ax,ay,az\r\n0,0.5,-1,9.8\r\n40,1e-3,2,9.7\r\n", None),
-            (b'"t_ms","ax","ay","az"\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', None),
-            (b'"t_ms\r\n",ax,ay,az\n0,0.5,-1,9.8\r40,1e-3,2,9.7', None),  # a header of two lines
+            (b"t_ms,ax,ay,az\r\n0,0.5,-1,9.8\r\n40,1e-3,2,9.7\r\n", "bulk"),
+            (b'"t_ms","ax","ay","az"\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', "bulk"),
+            (b'"t_ms\r\n",ax,ay,az\n0,0.5,-1,9.8\r40,1e-3,2,9.7', "lines"),  # a header of two lines
             (b"\xef\xbb\xbft_ms,ax,ay,az\n0,0.5,-1,9.8\n", 1),  # the BOM is part of the first field
             (b"t_ms,ax,ay,az\n0,0.5,-1,9.8\n40,\xff,2,9.7\n", 3),
         ],
         ids=["crlf-body", "quoted-header", "two-line-header", "utf8-bom", "not-utf8-body"],
     )
-    def test_bytes(self, csv_path, data, line):
+    def test_bytes(self, csv_path, data, reader):
         csv_path.write_bytes(data)
         with _line_parser_only():
             expected = _outcome(lambda: load_trace(str(csv_path), 25.0))
-        if line is None:  # the bulk path reads it, to the line parser's arrays
-            with mock.patch.object(traceio, "_parse_lines", side_effect=AssertionError("fell back")):
+        if isinstance(reader, int):  # a ParseError at that line
+            got = _outcome(lambda: load_trace(str(csv_path), 25.0))
+            assert got[:2] == ("raised", ParseError) and got[3] == reader
+        else:  # the bulk path or the line parser after it reads it, to the same arrays
+            with mock.patch.object(traceio, "_parse_lines", wraps=traceio._parse_lines) as parse_lines:
                 got = _outcome(lambda: load_trace(str(csv_path), 25.0))
+            assert parse_lines.called == (reader == "lines")
             series = load_trace(str(csv_path), 25.0)
             assert series.t.tolist() == [0.0, 0.04]
             assert series.xyz.tolist() == [[0.5, -1.0, 9.8], [1e-3, 2.0, 9.7]]
-        else:
-            got = _outcome(lambda: load_trace(str(csv_path), 25.0))
-            assert got[:2] == ("raised", ParseError) and got[3] == line
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "data, load",
+        [
+            (b't_ms,ax,ay,"az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', lambda p: load_trace(p, 25.0)),
+            (b'"t_ms\n0\n40\n', load_annotations),
+            (b'"t_ms\r",ax,ay,az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', lambda p: load_trace(p, 25.0)),
+        ],
+        ids=["trace-quote-left-open", "annotations-quote-left-open", "cr-in-quoted-header"],
+    )
+    def test_quoted_header_field_past_the_first_line(self, csv_path, data, load):
+        # a quote left open makes the whole file the header row; a \r in a
+        # quoted field ends the header's first line for the line parser
+        csv_path.write_bytes(data)
+        got = _outcome(lambda: load(str(csv_path)))
+        with _line_parser_only():
+            assert got == _outcome(lambda: load(str(csv_path)))
 
     @given(_csv_text(width=1))
     @settings(max_examples=300, deadline=None)
