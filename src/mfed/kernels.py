@@ -46,6 +46,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import ConfigError
+
 # ---------------------------------------------------------------------------
 # centered moving average, window truncated at the series edges
 
@@ -113,12 +115,15 @@ def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
         size = left + right + 1
         view = sliding_window_view(xyz, size, axis=0).transpose(2, 0, 1)  # (size, n - size + 1, 3)
         step = max(1, _GATHER_ROWS // size)
-        for a in range(0, idx.shape[0], step):
-            # (size, k, 3), C-ordered: the sums over axis 0 add row after row
-            g = view[:, idx[a : a + step] - left].copy()
-            mu = g.sum(axis=0) / size
-            np.multiply(g, g, out=g)
-            var[a : a + step] = (g.sum(axis=0) / size - mu * mu).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            for a in range(0, idx.shape[0], step):
+                # (size, k, 3), C-ordered: the sums over axis 0 add row after row
+                g = view[:, idx[a : a + step] - left].copy()
+                mu = g.sum(axis=0) / size
+                np.multiply(g, g, out=g)
+                var[a : a + step] = (g.sum(axis=0) / size - mu * mu).sum(axis=1)
+        if not np.all(np.isfinite(var)):
+            raise ConfigError("PoI window variance overflowed: a window's summed variance is not finite")
     keep = var > v_th
     return idx[keep], var[keep]
 

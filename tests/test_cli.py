@@ -165,6 +165,26 @@ class TestSweepAndRate:
             assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
         assert "error: smoothing overflowed" in capsys.readouterr().err
 
+    def test_variance_overflow_exit_2_without_warnings(self, tmp_path, capsys):
+        # a 1 s dip of -scale every 4 s, y flipping sign every row: the smoothed
+        # dips are PoIs, and their window variance overflows at 1e200
+        def rate_of(scale):
+            i = np.arange(3000)
+            x = -1.0 - scale * np.maximum(0.0, 1.0 - np.abs(i % 100 - 50) / 30.0)
+            y = np.where(i % 2 == 0, -scale, scale)
+            rows = "".join(f"{40 * k},{xk!r},{yk!r},9.8\n" for k, xk, yk in zip(i, x.tolist(), y.tolist()))
+            trace = tmp_path / "t.csv"
+            trace.write_text("t_ms,ax,ay,az\n" + rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return main(["poi-rate", "--trace", str(trace), "--rate", "25"]), capsys.readouterr()
+
+        code, out = rate_of(1e100)
+        assert code == 0 and "pois_per_minute,0.000000" not in out.out
+        code, out = rate_of(1e200)
+        assert code == 2
+        assert "error: PoI window variance overflowed" in out.err
+
     @pytest.mark.parametrize("command", ["detect", "poi-rate", "sweep"])
     @pytest.mark.parametrize("flag,key", [("--xth", "x_th"), ("--vth", "v_th"), ("--rate", "rate")])
     def test_nan_flag_exits_2_naming_it(self, meal_trace, capsys, command, flag, key):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +112,20 @@ class TestDetectPois:
         pois = detect_pois(smooth(s, cfg.smooth_len), cfg)
         assert len(pois) == 1
         assert pois[0].t == pytest.approx(11.0, abs=0.5)
+
+    def test_variance_overflow_raises_without_warnings(self):
+        # signs flip every row: strict negative peaks 2 s apart after suppression,
+        # and a summed window variance of 3 * scale**2, which overflows at 1e200
+        def series(scale):
+            xyz = np.where(np.arange(500)[:, None] % 2 == 0, -scale, scale) * np.ones(3)
+            return AccelSeries(25.0, np.arange(500) / 25.0, xyz)
+
+        cfg = DetectorConfig(smooth_len=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(detect_pois(series(1e100), cfg)) > 0
+            with pytest.raises(ConfigError, match="PoI window variance overflowed"):
+                detect_pois(series(1e200), cfg)
 
     def test_shipped_defaults(self):
         cfg = DetectorConfig()
