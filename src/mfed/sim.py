@@ -300,8 +300,9 @@ class HomeSimulation:
         else:
             self._push(t + self.cfg.ema_ttl_s, "ema_expire", node, survey)
 
-    def _answers(self, node: _Node, survey: ema.EmaSurvey):
-        """Responder agent: drive the flow to Terminal, truthfully when asked."""
+    def _answers(self, node: _Node, survey: ema.EmaSurvey, t: float):
+        """Responder agent answering at ``t``: drive the flow to Terminal,
+        truthfully when asked."""
         rng = node.rng
         profile = node.spec.responder
         mood = ema.MoodItems(
@@ -310,8 +311,7 @@ class HomeSimulation:
         )
         if survey.kind is ema.SurveyKind.MOOD:
             if profile.truthful:
-                lo = survey.sent_t - ema.HOURLY_LOOKBACK
-                ate = any(lo <= a <= survey.sent_t for a in node.annotations)
+                ate = any(t - ema.HOURLY_LOOKBACK <= a <= t for a in node.annotations)
             else:
                 ate = bool(rng.random() < 0.2)
             return [replace(mood, ate_last_hour=ate)]
@@ -335,7 +335,7 @@ class HomeSimulation:
 
     def _handle_ema_answer(self, t: float, node: _Node, survey: ema.EmaSurvey):
         state = ema.new_flow(survey)
-        for answer in self._answers(node, survey):
+        for answer in self._answers(node, survey, t):
             state = ema.flow_step(state, answer)
         response = replace(state.collected, t=t)
         node.responses.append(response)

@@ -530,6 +530,18 @@ class TestLogLayout:
         assert (first["start_ms"], first["end_ms"]) == (0, 1_846_759)
         assert first["missed_detection"] is False
 
+    def test_truthful_hourly_answer_covers_the_recorded_hour(self):
+        # the second mood EMA goes out at 3600 s and is answered at 3782.147 s;
+        # both meals fall in the hour before the answer that the record covers
+        spec = replace(flat_spec(window=(0.0, 24.0), duration=7200.0), annotation_times=(3605.0, 3620.0))
+        cfg = sim.HomeConfig(home_id="h1", participants=(spec,), duty=None, seed=4)
+        records = records_of(run_to_lines(cfg)[1], "ground_truth")
+        assert (records[1]["start_ms"], records[1]["end_ms"]) == (182_147, 3_782_147)
+        for r in records:
+            ate = any(r["start_ms"] <= traceio.ms(a) <= r["end_ms"] for a in spec.annotation_times)
+            assert r["fact"] == ("was_eating" if ate else "was_not_eating")
+        assert [r["fact"] for r in records] == ["was_not_eating", "was_eating"]
+
 
 def _readme_home_config() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
