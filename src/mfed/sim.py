@@ -40,8 +40,8 @@ from typing import Annotated, Any, get_args, get_origin
 import numpy as np
 
 from . import classifier, ema, events, traceio, watch
-from .errors import ConfigError, InvalidAnswer, check_fields, field_hints
-from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, smooth
+from .errors import ConfigError, InvalidAnswer, ShapeError, check_fields, field_hints
+from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, smooth, window_extent
 from .traceio import ms
 
 
@@ -194,8 +194,9 @@ class _Node:
 class HomeSimulation:
     """One home on the virtual clock, seeded with ``config.seed`` as given.
 
-    The constructor loads the traces, the annotations and the weights and
-    finds each trace's PoIs, so a missing or malformed input fails before
+    The constructor loads the traces, the annotations and the weights,
+    finds each trace's PoIs and checks that the weights fit each trace's
+    window, so a missing, malformed or mismatched input fails before
     ``run`` writes any of the log."""
 
     def __init__(self, config: HomeConfig):
@@ -207,6 +208,10 @@ class HomeSimulation:
             _Node(spec, config, np.random.default_rng([config.seed, i]))
             for i, spec in enumerate(config.participants)
         ]
+        for node in self.nodes if self.weights is not None else ():
+            rows = window_extent(config.detector.window_len, node.series.rate)[0]
+            if rows != self.weights.n:
+                raise ShapeError(f"{node.pid}: window has {rows} rows, weights expect {self.weights.n}")
         self.duration = config.duration_s or max(n.series.duration for n in self.nodes)
         self.heap: list[tuple[float, int, str, _Node, object]] = []  # seq breaks ties
         self.seq = itertools.count()

@@ -11,6 +11,7 @@ import pytest
 
 import mfed
 import synth
+from mfed import classifier
 from mfed.cli import main
 
 
@@ -536,3 +537,13 @@ class TestSimulate:
         code, err = self._simulate_config(tmp_path, capsys, config)
         assert code == 2
         assert err.startswith(f"error: unknown key(s): {section}.zz_first, {section}.zz_second\n")
+
+    def test_window_that_does_not_fit_the_weights_exits_2_before_logging(self, tmp_path, capsys):
+        weights = tmp_path / "w.npz"
+        classifier.save_weights(classifier.init_weights(150, 25.0, np.random.default_rng(0)), str(weights))
+        config = self._probe_config(tmp_path)
+        config["weights"] = str(weights)
+        config["detector"]["window_len"] = 5.0  # 125 rows at 25 Hz
+        code, err = self._simulate_config(tmp_path, capsys, config)
+        assert code == 2
+        assert err == "error: p1: window has 125 rows, weights expect 150\n"

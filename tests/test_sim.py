@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import types
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -178,7 +179,7 @@ def _run_recording(cfg, monkeypatch):
 
     for name in ("on_poi", "on_tick", "flush"):
         monkeypatch.setattr(watch, name, recording(getattr(watch, name)))
-    monkeypatch.setattr(classifier, "load_weights", lambda path: "weights")
+    monkeypatch.setattr(classifier, "load_weights", lambda path: types.SimpleNamespace(n=150))
     monkeypatch.setattr(classifier, "forward", forward)
     _, lines, _ = run_to_lines(cfg)
     return lines, uploads, classified
@@ -218,7 +219,7 @@ class TestOneDetectionPath:
         cfg = _home(gestures, watch.UploadPolicy(), weights="w.npz", duty=None)
         # by gesture: rejected, accepted at the threshold, accepted
         probs = (0.25, classifier.DECISION_THRESHOLD, 0.75)
-        monkeypatch.setattr(classifier, "load_weights", lambda path: "weights")
+        monkeypatch.setattr(classifier, "load_weights", lambda path: types.SimpleNamespace(n=150))
         monkeypatch.setattr(classifier, "forward", lambda weights, window: probs[int(window.poi.t // 15.0) % 3])
         _, lines, _ = run_to_lines(cfg)
         times, n_pois = metrics.detect_gesture_times(cfg.participants[0].series, cfg.detector, "weights")
