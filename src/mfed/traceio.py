@@ -8,13 +8,12 @@ numbers.
 
 Both readers parse the body in bulk first: one ``np.loadtxt`` call, then
 vectorised monotonicity and finiteness checks. The bulk path only vouches
-for plain numeric text under a header that is the file's first line.
-Whenever it raises, warns (an empty body), meets a header that spans lines
-or no line end, a character outside ``_BULK_CHARS`` or a field the csv
-module would refuse, or fails a check, the line parser reads the file
-again. The line parser is
-the reference: it returns the same arrays the bulk path would, accepts
-what Python's ``csv``, ``int`` and ``float`` accept (quoted fields, ``1_0``,
+for plain numeric text under a one-line header. Whenever it raises, warns
+(an empty body), meets a header that is not one line, a character outside
+``_BULK_CHARS`` or a field the csv module would refuse, or fails a check,
+the line parser reads the file again. The line parser is the reference:
+it returns the same arrays the bulk path would, accepts what Python's
+``csv``, ``int`` and ``float`` accept (quoted fields, ``1_0``,
 whitespace-only lines), and raises the line-numbered error.
 """
 from __future__ import annotations
@@ -42,6 +41,7 @@ ANNOTATION_HEADER = ("t_ms",)
 # ASCII separators \x1c-\x1f, a few non-ASCII letters), so any other
 # character sends the file to the line parser.
 _BULK_CHARS = b"0123456789+-.eE, \t\r\n"
+
 
 def load_trace(path: str, rate: float) -> AccelSeries:
     """Read a trace CSV and validate the declared sampling rate."""
@@ -85,11 +85,10 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     """The bulk parse, or None where it cannot vouch for the result."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    # The header is the first line, up to and including its \n. Its ASCII
-    # decode raises on any other byte and strict csv on a quote left open, so
-    # a header row that spans lines goes to the line parser, as does a file
-    # without a \n. np.loadtxt skips that line; a \r in a quoted header field
-    # would leave the closing quote on numpy's next line, which then raises.
+    # The header is the first line, through its \n. A non-ASCII byte or (strict
+    # csv) a quote left open there raises, so a header row that spans lines goes
+    # to the line parser, as does a file without a \n. A \r in a quoted header
+    # field ends numpy's first line there, and its next line fails to parse.
     start = raw.find(b"\n") + 1
     row = next(csv.reader([raw[:start].decode("ascii")], strict=True)) if start else None
     if not _header_ok(row, header):

@@ -219,10 +219,15 @@ class TestBulkMatchesLineParser:
             (b"t_ms,ax,ay,az\r\n0,0.5,-1,9.8\r\n40,1e-3,2,9.7\r\n", "bulk"),
             (b'"t_ms","ax","ay","az"\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', "bulk"),
             (b'"t_ms\r\n",ax,ay,az\n0,0.5,-1,9.8\r40,1e-3,2,9.7', "lines"),  # a header of two lines
+            (b'"t_ms\r",ax,ay,az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', "lines"),  # numpy's first line ends at \r
+            (b't_ms,ax,ay,"az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', 1),  # the open quote runs to the end
             (b"\xef\xbb\xbft_ms,ax,ay,az\n0,0.5,-1,9.8\n", 1),  # the BOM is part of the first field
             (b"t_ms,ax,ay,az\n0,0.5,-1,9.8\n40,\xff,2,9.7\n", 3),
         ],
-        ids=["crlf-body", "quoted-header", "two-line-header", "utf8-bom", "not-utf8-body"],
+        ids=[
+            "crlf-body", "quoted-header", "two-line-header", "cr-in-quoted-header", "header-quote-left-open",
+            "utf8-bom", "not-utf8-body",
+        ],
     )
     def test_bytes(self, csv_path, data, reader):
         csv_path.write_bytes(data)
@@ -239,23 +244,6 @@ class TestBulkMatchesLineParser:
             assert series.t.tolist() == [0.0, 0.04]
             assert series.xyz.tolist() == [[0.5, -1.0, 9.8], [1e-3, 2.0, 9.7]]
         assert got == expected
-
-    @pytest.mark.parametrize(
-        "data, load",
-        [
-            (b't_ms,ax,ay,"az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', lambda p: load_trace(p, 25.0)),
-            (b'"t_ms\n0\n40\n', load_annotations),
-            (b'"t_ms\r",ax,ay,az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', lambda p: load_trace(p, 25.0)),
-        ],
-        ids=["trace-quote-left-open", "annotations-quote-left-open", "cr-in-quoted-header"],
-    )
-    def test_quoted_header_field_past_the_first_line(self, csv_path, data, load):
-        # a quote left open makes the whole file the header row; a \r in a
-        # quoted field ends the header's first line for the line parser
-        csv_path.write_bytes(data)
-        got = _outcome(lambda: load(str(csv_path)))
-        with _line_parser_only():
-            assert got == _outcome(lambda: load(str(csv_path)))
 
     @given(_csv_text(width=1))
     @settings(max_examples=300, deadline=None)
