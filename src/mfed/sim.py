@@ -208,9 +208,9 @@ class HomeSimulation:
             _Node(spec, config, np.random.default_rng([config.seed, i]))
             for i, spec in enumerate(config.participants)
         ]
-        for node in self.nodes if self.weights is not None else ():
+        for node in self.nodes:
             rows = window_extent(config.detector.window_len, node.series.rate)[0]
-            if rows != self.weights.n:
+            if self.weights is not None and rows != self.weights.n:
                 raise ShapeError(f"{node.pid}: window has {rows} rows, weights expect {self.weights.n}")
         self.duration = config.duration_s or max(n.series.duration for n in self.nodes)
         self.heap: list[tuple[float, int, str, _Node, object]] = []  # seq breaks ties
