@@ -25,9 +25,9 @@ Conventions:
     the bias; how the product sums its terms is up to the BLAS build, so CNN
     activations and probabilities are stable only to the last bits
   - the columns are one copy of a strided view with two tap axes, for any
-    C: the bytes of a concatenate of the four tap views, in about 7 against
-    13 us for one conv2 input; for conv1 (C = 1) the concatenate was about
-    as fast at batches of 1 to 4 and faster at 16 (x86-64, numpy 2.4)
+    C; a concatenate of the four tap views gives the same bytes, in about
+    13 against 7 us for one conv2 input, and for conv1 (C = 1) it was as
+    fast at batches of 1 to 4 and faster at 16 (x86-64, numpy 2.4)
   - max-pooling halves the time axis (pairs, stride 2, floor); the later
     row of a pair wins only when strictly greater, so ties keep the earlier
     row, matching ``np.argmax`` on NaN-free input
