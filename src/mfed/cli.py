@@ -60,6 +60,7 @@ def build_parser() -> _Parser:
     add_detector_flags(p)
     p.add_argument("--weights", help="classifier weights (omit for threshold-only)")
     p.add_argument("--out", help="events JSONL (default stdout)")
+    p.set_defaults(run=_cmd_detect)
 
     p = sub.add_parser("train", help="train the gesture classifier")
     p.add_argument("--trace", required=True)
@@ -70,6 +71,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="weights file (.npz)")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("evaluate", help="match detections against annotations")
     p.add_argument("--trace", required=True)
@@ -78,6 +80,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights")
     p.add_argument("--tolerance", type=float, default=4.0)
     p.add_argument("--out", help="CSV (default stdout)")
+    p.set_defaults(run=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="threshold sweep over xth/vth lists")
     p.add_argument("--trace", required=True)
@@ -88,16 +91,19 @@ def build_parser() -> _Parser:
     p.add_argument("--weights")
     p.add_argument("--tolerance", type=float, default=4.0)
     p.add_argument("--out", help="CSV (default stdout)")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("poi-rate", help="PoIs per minute and computation ratios")
     p.add_argument("--trace", required=True)
     add_detector_flags(p)
+    p.set_defaults(run=_cmd_poi_rate)
 
     p = sub.add_parser("simulate", help="run one home config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="override the config seed and MFED_SEED")
     p.add_argument("--out", help="JSONL log (default stdout)")
     p.add_argument("--gt-out", help="ground-truth CSV path")
+    p.set_defaults(run=_cmd_simulate)
     return parser
 
 
@@ -194,16 +200,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "detect": _cmd_detect,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "poi-rate": _cmd_poi_rate,
-    "simulate": _cmd_simulate,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -213,7 +209,7 @@ def main(argv=None) -> int:
         e.parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (MfedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

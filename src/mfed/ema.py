@@ -210,7 +210,6 @@ DONE = "done"  # the DONE button press
 @dataclass(frozen=True)
 class NotEatingActivity:
     options: frozenset[str]
-    free_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,6 @@ class EmaResponse:
     t: float | None = None  # completion time, filled by the caller
     event_t: float | None = None  # triggering event anchor (eating EMAs)
     eating_confirmed: bool | None = None
-    finished: bool | None = None
     not_eating_activity: NotEatingActivity | None = None
     hunger: float | None = None
     satiety: float | None = None
@@ -325,12 +323,12 @@ def flow_step(state: EmaFlowState, answer) -> EmaFlowState:
         if not isinstance(answer, bool):
             raise InvalidTransition(f"{stage.value} takes a yes/no answer, got {type(answer).__name__}")
         nxt = Stage.ASK_EATING_BATTERY if answer else Stage.AWAIT_DONE
-        return replace(state, stage=nxt, collected=replace(resp, finished=answer))
+        return replace(state, stage=nxt)
 
     if stage is Stage.AWAIT_DONE:
         if answer != DONE:
             raise InvalidTransition(f"{stage.value} waits for the DONE press, got {answer!r}")
-        return replace(state, stage=Stage.ASK_EATING_BATTERY, collected=replace(resp, finished=True))
+        return replace(state, stage=Stage.ASK_EATING_BATTERY)
 
     if stage is Stage.ASK_EATING_BATTERY:
         if not isinstance(answer, EatingBattery):

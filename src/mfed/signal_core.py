@@ -120,10 +120,9 @@ def window_extent(window_len: float, rate: float) -> tuple[int, int, int]:
 
 
 def smooth_width(smooth_len: float, rate: float) -> int:
-    """Moving-average width in samples, rounded to the nearest odd count."""
+    """Moving-average width in samples, rounded to the nearest odd count.
+    A width of 1 means no smoothing."""
     w = int(round(smooth_len * rate))
-    if w <= 1:
-        return 0 if smooth_len == 0 else 1
     return w if w % 2 == 1 else w + 1
 
 

@@ -19,7 +19,6 @@ whitespace-only lines), and raises the line-numbered error.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -135,7 +134,8 @@ def _numbered_rows(fh):
     the csv module refuses (a field past ``csv.field_size_limit()``) or
     one holding bytes that are not UTF-8 is a ParseError at its line."""
     reader = csv.reader(fh)
-    for lineno in itertools.count(1):
+    while True:
+        lineno = reader.line_num + 1  # the physical line the next row starts on
         try:
             row = next(reader)
         except StopIteration:

@@ -199,7 +199,7 @@ class TestFlow:
 
     def test_eating_survey_rejects_ate_last_hour(self):
         state = flow_step(new_flow(eating_survey()), False)
-        state = flow_step(state, NotEatingActivity(frozenset({"other"}), "laptop"))
+        state = flow_step(state, NotEatingActivity(frozenset({"other"})))
         with pytest.raises(InvalidAnswer):
             flow_step(state, MoodItems(MOOD.items, ate_last_hour=False))
 
