@@ -52,8 +52,8 @@ def build_parser() -> _Parser:
 
     def add_detector_flags(p):
         p.add_argument("--rate", type=float, default=25.0, help="sampling rate in Hz")
-        p.add_argument("--xth", type=float, default=-3.0, help="acceleration threshold (m/s^2)")
-        p.add_argument("--vth", type=float, default=1.0, help="summed-variance threshold")
+        p.add_argument("--xth", type=float, default=DetectorConfig.x_th, help="acceleration threshold (m/s^2)")
+        p.add_argument("--vth", type=float, default=DetectorConfig.v_th, help="summed-variance threshold")
 
     p = sub.add_parser("detect", help="detect eating events in one trace")
     p.add_argument("--trace", required=True)
@@ -66,10 +66,10 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--annotations", required=True)
     add_detector_flags(p)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=classifier.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=classifier.TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=classifier.TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=classifier.TrainConfig.seed)
     p.add_argument("--out", required=True, help="weights file (.npz)")
     p.set_defaults(run=_cmd_train)
 

@@ -3,8 +3,9 @@
 Trace CSV: header ``t_ms,ax,ay,az``; integer milliseconds, decimal
 accelerations in m/s^2. Annotation CSV: header ``t_ms``, one mouth-contact
 instant per row (fields after the first are ignored). Timestamps must be
-strictly increasing in both and samples finite; errors carry 1-based line
-numbers.
+strictly increasing in both and samples finite. An error names its file
+and the 1-based physical line on which the bad row starts, so a quoted
+field that holds a line end counts every line it spans.
 
 Both readers parse the body in bulk first: one ``np.loadtxt`` call, then
 vectorised monotonicity and finiteness checks. The bulk path only vouches
@@ -50,7 +51,7 @@ def load_trace(path: str, rate: float) -> AccelSeries:
         median_dt = float(np.median(np.diff(series.t)))
         if abs(median_dt - 1.0 / rate) > RATE_TOLERANCE / rate:
             raise ConfigError(
-                f"declared rate {rate} Hz does not match median spacing {median_dt:.4f} s"
+                f"declared rate {rate} Hz does not match median spacing {median_dt:.4f} s (in {path})"
             )
     return series
 
@@ -152,34 +153,37 @@ def _numbered_rows(fh):
 
 def _parse_lines(path: str, header: tuple[str, ...], extra_fields: bool = False):
     """The reference reader, one row at a time: same result as the bulk
-    path where that succeeds, and the line-numbered error otherwise."""
+    path where that succeeds, and the line-numbered error otherwise, its
+    message ending with the file: ``(in PATH)``."""
     width = len(header)
     t: list[float] = []
     values: list[list[float]] = []
-    with _open_csv(path) as fh:
-        rows = _numbered_rows(fh)
-        _, row = next(rows, (1, None))
-        if not _header_ok(row, header):
-            raise ParseError(f"expected header {','.join(header)}, got {row}", line=1)
-        for lineno, row in rows:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < width or (len(row) > width and not extra_fields):
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
-            try:
-                t_ms = int(row[0])
-                ts = t_ms / 1000.0
-                v = [float(x) for x in row[1:width]]
-            except (ValueError, OverflowError) as e:
-                raise ParseError(str(e), line=lineno) from e
-            if not all(map(math.isfinite, v)):
-                raise ParseError("samples must be finite", line=lineno)
-            if t and ts <= t[-1]:
-                raise NonMonotonicTimestamp(
-                    f"t_ms {t_ms} does not increase past {ms(t[-1])}", line=lineno
-                )
-            t.append(ts)
-            values.append(v)
+    try:
+        with _open_csv(path) as fh:
+            rows = _numbered_rows(fh)
+            _, row = next(rows, (1, None))
+            if not _header_ok(row, header):
+                raise ParseError(f"expected header {','.join(header)}, got {row}", line=1)
+            for lineno, row in rows:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < width or (len(row) > width and not extra_fields):
+                    raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+                try:
+                    t_ms = int(row[0])
+                    ts = t_ms / 1000.0
+                    v = [float(x) for x in row[1:width]]
+                except (ValueError, OverflowError) as e:
+                    raise ParseError(str(e), line=lineno) from e
+                if not all(map(math.isfinite, v)):
+                    raise ParseError("samples must be finite", line=lineno)
+                if t and ts <= t[-1]:
+                    raise NonMonotonicTimestamp(f"t_ms {t_ms} does not increase past {ms(t[-1])}", line=lineno)
+                t.append(ts)
+                values.append(v)
+    except ParseError as e:
+        e.args = (f"{e} (in {path})",)
+        raise
     matrix = np.asarray(values, dtype=np.float64).reshape(len(t), width - 1)
     return np.asarray(t, dtype=np.float64), matrix
 

@@ -12,7 +12,8 @@ import pytest
 import mfed
 import synth
 from mfed import classifier
-from mfed.cli import main
+from mfed.cli import build_parser, main
+from mfed.signal_core import DetectorConfig
 
 
 @pytest.fixture
@@ -99,6 +100,23 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_defaults_come_from_the_config_classes(self, monkeypatch):
+        def defaults():
+            detect = build_parser().parse_args(["detect", "--trace", "t"])
+            train = build_parser().parse_args(["train", "--trace", "t", "--annotations", "a", "--out", "w"])
+            return detect.xth, detect.vth, train.xth, train.vth, train.epochs, train.lr, train.batch, train.seed
+
+        d, t = DetectorConfig(), classifier.TrainConfig()
+        assert defaults() == (d.x_th, d.v_th, d.x_th, d.v_th, t.epochs, t.learning_rate, t.batch_size, t.seed)
+        # a changed default reaches the CLI
+        for cls, name, value in [
+            (DetectorConfig, "x_th", -4.5), (DetectorConfig, "v_th", 2.5), (classifier.TrainConfig, "epochs", 7),
+            (classifier.TrainConfig, "learning_rate", 0.25), (classifier.TrainConfig, "batch_size", 3),
+            (classifier.TrainConfig, "seed", 11),
+        ]:
+            monkeypatch.setattr(cls, name, value)
+        assert defaults() == (-4.5, 2.5, -4.5, 2.5, 7, 0.25, 3, 11)
+
 
 class TestEvaluate:
     def test_reports_metrics(self, meal_trace, tmp_path, capsys):
@@ -128,6 +146,16 @@ class TestEvaluate:
         code = main(["evaluate", "--trace", str(trace), "--annotations", str(bad), "--rate", "25"])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_bad_annotation_file_exit_2_naming_it(self, meal_trace, tmp_path, capsys):
+        trace, _, _ = meal_trace
+        bad = tmp_path / "lab_ann.csv"
+        bad.write_text("t_ms\n1000\nbad\n")
+        code = main(["evaluate", "--trace", str(trace), "--annotations", str(bad), "--rate", "25"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 3: invalid literal for int() with base 10: 'bad' (in {bad})\n"
+        assert captured.out == ""
 
 
 class TestSweepAndRate:
@@ -203,6 +231,13 @@ class TestSweepAndRate:
         trace.write_bytes(b"t_ms,ax,ay,az\n0,0,0,9.8\n40,0,\xff,9.8\n")
         assert main(["poi-rate", "--trace", str(trace)]) == 2
         assert "error: line 3: bytes that are not valid UTF-8" in capsys.readouterr().err
+
+    def test_row_after_a_multiline_quoted_field_names_its_physical_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text('"t_ms\n",ax,ay,az\n0,0,0,9.8\nbad,0,0,9.8\n')  # bad is on line 4
+        assert main(["poi-rate", "--trace", str(trace), "--rate", "25"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 4: invalid literal for int() with base 10: 'bad' (in {trace})\n"
 
 
 @pytest.mark.parametrize(
@@ -537,6 +572,18 @@ class TestSimulate:
         code, err = self._simulate_config(tmp_path, capsys, config)
         assert code == 2
         assert err.startswith(f"error: unknown key(s): {section}.zz_first, {section}.zz_second\n")
+
+    def test_bad_second_annotation_file_exits_2_naming_it_before_logging(self, tmp_path, capsys):
+        config = self._probe_config(tmp_path)
+        good, bad = tmp_path / "a1.csv", tmp_path / "a2.csv"
+        good.write_text("t_ms\n1000\n")
+        bad.write_text("t_ms\n1000\nbad\n")
+        config["participants"][0]["annotations"] = str(good)
+        p2 = {"id": "p2", "trace": config["participants"][0]["trace"], "annotations": str(bad)}
+        config["participants"].append(p2)
+        code, err = self._simulate_config(tmp_path, capsys, config)
+        assert code == 2
+        assert err == f"error: line 3: invalid literal for int() with base 10: 'bad' (in {bad})\n"
 
     def test_window_that_does_not_fit_the_weights_exits_2_before_logging(self, tmp_path, capsys):
         weights = tmp_path / "w.npz"

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
@@ -47,6 +48,12 @@ class TestLoadTrace:
         path = tmp_path / "t.csv"
         path.write_text("t_ms,ax,ay,az\n0,0,0\n")
         with pytest.raises(ParseError):
+            load_trace(str(path), 25.0)
+
+    def test_rate_mismatch_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_ms,ax,ay,az\n" + "".join(f"{i * 100},0,0,0\n" for i in range(5)))  # 10 Hz data
+        with pytest.raises(ConfigError, match=re.escape(f"declared rate 25.0 Hz does not match median spacing 0.1000 s (in {path})")):
             load_trace(str(path), 25.0)
 
     def test_rate_mismatch(self, tmp_path):
@@ -253,6 +260,62 @@ class TestBulkMatchesLineParser:
         with _line_parser_only():
             expected = _outcome(lambda: load_annotations(str(csv_path)))
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Line numbers: a bad row is reported at the physical line it starts on
+
+_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _field(draw, token: str) -> str:
+    """``token`` as it stands, or quoted with a line end before or after it."""
+    if draw(st.booleans()):
+        return token
+    end = draw(_END)
+    return f'"{end}{token}"' if draw(st.booleans()) else f'"{token}{end}"'
+
+
+@st.composite
+def _one_bad_row(draw):
+    """``(header, text before the bad row, the bad row)``: good rows and
+    blank lines, their fields quoted around line ends, then one bad row."""
+    header = draw(st.sampled_from([traceio.TRACE_HEADER, traceio.ANNOTATION_HEADER]))
+    lines = [",".join(draw(_field(h)) for h in header)]
+    n_good = draw(st.integers(0, 4))
+    for i in range(n_good):
+        lines += [draw(st.sampled_from(["", " ", "\t"])) for _ in range(draw(st.integers(0, 2)))]
+        values = ["0.5", "-1", "9.8"][: len(header) - 1] + ["note"] * (len(header) == 1) * draw(st.integers(0, 1))
+        lines.append(",".join(draw(_field(v)) for v in [str(40 * i)] + values))
+    lines += [draw(st.sampled_from(["", " "])) for _ in range(draw(st.integers(0, 2)))]
+    prefix = "".join(line + draw(_END) for line in lines)
+    kinds = ["bad"] + ["back"] * (n_good > 0) + ["nan", "short"] * (len(header) == 4)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("bad", "back"):  # a timestamp that is not an integer, or that repeats the last row's
+        fields = ["bad" if kind == "bad" else str(40 * n_good - 40)] + ["0", "0", "9.8"][: len(header) - 1]
+    else:
+        fields = [str(40 * n_good)] + (["nan", "0", "9.8"] if kind == "nan" else ["0", "9.8"])
+    row = ",".join(draw(_field(f)) for f in fields)
+    return header, prefix, row + draw(st.sampled_from(["", "\n", "\r\n", "\r", "\n40000,0,0,9.8\n"]))
+
+
+@given(_one_bad_row())
+@example((traceio.TRACE_HEADER, '"t_ms\n",ax,ay,az\n0,0,0,9.8\n', "bad,0,0,9.8\n"))  # bad is on line 4
+@example((traceio.TRACE_HEADER, "t_ms,ax,ay,az\r\n0,0,0,9.8\r\n\r\n", "bad,0,0,9.8\r\n"))
+@example((traceio.TRACE_HEADER, "t_ms,ax,ay,az\r0,0,0,9.8\r", "bad,0,0,9.8\r"))
+@settings(max_examples=300, deadline=None)
+def test_parse_error_names_the_physical_line_its_row_starts_on(csv_path, case):
+    header, prefix, bad = case
+    csv_path.write_bytes((prefix + bad).encode("utf-8"))
+    line = len(re.findall(r"\r\n|\r|\n", prefix)) + 1  # the oracle: line ends before the row, plus one
+    with pytest.raises(ParseError) as err:
+        if header == traceio.TRACE_HEADER:
+            load_trace(str(csv_path), 25.0)
+        else:
+            load_annotations(str(csv_path))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ") and str(err.value).endswith(f" (in {csv_path})")
 
 
 # ---------------------------------------------------------------------------
