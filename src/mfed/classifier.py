@@ -17,16 +17,17 @@ the update is one subtraction per tensor; ``loss_and_grads`` returns them
 unscaled. The backward pass applies the ReLU masks to the pooled gradients,
 half the size of the conv outputs. Results are bit-reproducible for a given
 seed, but not bit-equal to summing per-window gradients, which adds in
-another order. Inference runs the same layers on a batch of one, but
-computes neither the pool winners nor the cache of activations, which only
-the backward pass reads. Ambiguous windows are excluded from training.
+another order. Ambiguous windows are excluded from training.
 
-A window is a gesture when its probability is at least
-``DECISION_THRESHOLD``; ``gestures`` applies that rule to a list of PoIs
-for ``mfed detect`` and for the simulator alike. Trained weights are
-stored as one uncompressed ``.npz`` archive: ``version``, ``n``, ``rate``
-and the ten float64 tensors under their ``ModelWeights`` field names. The same weights always give the
-same bytes, and loading checks every member, dtype and shape.
+Inference has one entry, ``probabilities``: ``forward`` on each window in
+turn, the same layers on a batch of one without the pool winners and the
+activation cache that only the backward pass reads. A window is a gesture
+when its probability is at least ``DECISION_THRESHOLD``; ``gestures``
+applies that rule to the PoIs of ``mfed detect``, ``mfed sweep`` and the
+simulator alike. Trained weights are stored as one uncompressed ``.npz``
+archive: ``version``, ``n``, ``rate`` and the ten float64 tensors under
+their ``ModelWeights`` field names. The same weights always give the same
+bytes, and loading checks every member, dtype and shape.
 """
 from __future__ import annotations
 
@@ -241,20 +242,21 @@ def classify(weights: ModelWeights, window) -> bool:
     return forward(weights, window) >= DECISION_THRESHOLD
 
 
+def probabilities(weights: ModelWeights, windows) -> list[float]:
+    """``forward`` of each window, in order: the package's one inference loop."""
+    return [forward(weights, window) for window in windows]
+
+
 def gestures(weights: ModelWeights | None, smoothed: AccelSeries, pois, cfg: DetectorConfig) -> list:
     """``(poi, probability)`` for each of ``pois`` whose window of the
-    smoothed series ``forward`` puts at or above DECISION_THRESHOLD, in
-    order. Without weights (threshold-only mode) every PoI is a gesture,
+    smoothed series ``probabilities`` puts at or above DECISION_THRESHOLD,
+    in order. Without weights (threshold-only mode) every PoI is a gesture,
     with probability None. Batch detection and the simulator's base station
     both accept gestures here."""
     if weights is None:
         return [(poi, None) for poi in pois]
-    accepted = []
-    for poi in pois:
-        prob = forward(weights, extract_window(smoothed, poi, cfg))
-        if prob >= DECISION_THRESHOLD:
-            accepted.append((poi, prob))
-    return accepted
+    windows = [extract_window(smoothed, poi, cfg) for poi in pois]
+    return [(w.poi, p) for w, p in zip(windows, probabilities(weights, windows)) if p >= DECISION_THRESHOLD]
 
 
 def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:
@@ -323,11 +325,8 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
 
 def training_accuracy(weights: ModelWeights, data: list[LabeledWindow]) -> float:
     used = [d for d in data if d.label is not Label.AMBIGUOUS]
-    hits = 0
-    for d in used:
-        pred = classify(weights, d.window)
-        hits += pred == (d.label is Label.POSITIVE)
-    return hits / len(used)
+    probs = probabilities(weights, [d.window for d in used])
+    return sum((p >= DECISION_THRESHOLD) == (d.label is Label.POSITIVE) for p, d in zip(probs, used)) / len(used)
 
 
 # ---------------------------------------------------------------------------

@@ -323,9 +323,60 @@ class TestClassify:
         assert not C.classify(_constant_weights(-5.0), x)
 
 
+class TestProbabilities:
+    """``probabilities``: the one inference entry, against per-window ``forward``."""
+
+    @given(st.integers(7, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_per_window_forward_bit_for_bit(self, n, b, seed, as_gesture_windows):
+        rng = np.random.default_rng(seed)
+        w = _random_weights(n, rng)
+        xs = rng.normal(size=(b, n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
+        windows = list(xs)
+        if as_gesture_windows:
+            windows = [GestureWindow(Poi(index=i, t=float(i), ax_value=-4.0, variance_sum=2.0), x)
+                       for i, x in enumerate(xs)]
+        assert C.probabilities(w, windows) == [C.forward(w, x) for x in xs]
+
+    def test_no_windows(self):
+        assert C.probabilities(small_weights(), []) == []
+
+    def test_window_that_does_not_fit_the_weights(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ShapeError):
+            C.probabilities(small_weights(), [rng.normal(size=(10, 3)), rng.normal(size=(12, 3))])
+
+
+def _recording_probabilities(monkeypatch):
+    """Route ``probabilities`` through a spy; returns the list of the
+    windows each call received."""
+    calls = []
+    probabilities = C.probabilities
+
+    def spy(weights, windows):
+        calls.append(list(windows))
+        return probabilities(weights, windows)
+
+    monkeypatch.setattr(C, "probabilities", spy)
+    return calls
+
 
 class TestGestures:
     """``gestures``: the accept rule of batch detection and of the simulator."""
+
+    def test_one_probabilities_call_holding_each_poi_window_in_order(self, monkeypatch):
+        series = synth.gesture_trace(np.random.default_rng(3), [20.0, 40.0, 60.0, 80.0])
+        cfg = DetectorConfig()
+        smoothed = smooth(series, cfg.smooth_len)
+        pois = detect_pois(smoothed, cfg)
+        assert len(pois) == 4
+        w = small_weights(3, n=window_extent(cfg.window_len, series.rate)[0])
+        calls = _recording_probabilities(monkeypatch)
+        C.gestures(w, smoothed, pois, cfg)
+        assert len(calls) == 1
+        assert [x.poi for x in calls[0]] == pois
+        for x, poi in zip(calls[0], pois):
+            assert np.array_equal(x.samples, extract_window(smoothed, poi, cfg).samples)
 
     @given(
         seed=st.integers(0, 2**16), shift=st.floats(-0.5, 0.5), cuts=st.lists(st.integers(0, 9), max_size=4)
@@ -397,6 +448,22 @@ class TestTrain:
         data = _labeled(rng, 60)
         w = C.train(data, C.TrainConfig(epochs=25, seed=1))
         assert C.training_accuracy(w, data) >= 0.9
+
+    def test_accuracy_is_one_probabilities_call_over_the_unambiguous_windows(self, monkeypatch):
+        data = _labeled(np.random.default_rng(13), 16)
+        data = [C.LabeledWindow(d.window, Label.AMBIGUOUS, d.source) if i % 5 == 2 else d
+                for i, d in enumerate(data)]
+        used = [d for d in data if d.label is not Label.AMBIGUOUS]
+        w = small_weights(13, n=16)
+        # the output bias at the lower quartile logit, so the accuracy is neither 0 nor 1
+        logits = sorted(math.log(p / (1.0 - p)) for p in (C.forward(w, d.window) for d in used))
+        w.out_b[0] -= logits[len(logits) // 4]
+        hits = sum(C.classify(w, d.window) == (d.label is Label.POSITIVE) for d in used)
+        assert 0 < hits < len(used)
+        calls = _recording_probabilities(monkeypatch)
+        assert C.training_accuracy(w, data) == hits / len(used)
+        assert len(calls) == 1
+        assert calls[0] == [d.window for d in used]
 
     @pytest.mark.parametrize("b,batch_size", [(2, 2), (4, 4), (5, 5), (5, 8)])
     def test_one_step_is_sgd_on_the_summed_gradients(self, b, batch_size):

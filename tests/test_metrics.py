@@ -141,15 +141,17 @@ class TestThresholdSweep:
         smoothed = smooth(series, DetectorConfig().smooth_len)
         per_pair = [[p.index for p in detect_pois(smoothed, DetectorConfig(x_th=x, v_th=v))]
                     for x in x_th_list for v in v_th_list]
-        seen = []
-        forward = classifier.forward
+        calls = []
+        probabilities = classifier.probabilities
 
-        def counting_forward(w, window):
-            seen.append(window.poi.index)
-            return forward(w, window)
+        def counting_probabilities(w, windows):
+            calls.append([window.poi.index for window in windows])
+            return probabilities(w, windows)
 
-        monkeypatch.setattr(classifier, "forward", counting_forward)
+        monkeypatch.setattr(classifier, "probabilities", counting_probabilities)
         threshold_sweep(series, [], x_th_list, v_th_list, weights)
+        assert len(calls) == 1
+        seen = calls[0]
         assert seen == sorted({i for pois in per_pair for i in pois})
         assert len(seen) < sum(map(len, per_pair))
 

@@ -173,14 +173,14 @@ def _run_recording(cfg, monkeypatch):
 
         return wrapper
 
-    def forward(weights, window):
-        classified.append((window, len(uploads)))
-        return 1.0
+    def probabilities(weights, windows):
+        classified.extend((window, len(uploads)) for window in windows)
+        return [1.0] * len(windows)
 
     for name in ("on_poi", "on_tick", "flush"):
         monkeypatch.setattr(watch, name, recording(getattr(watch, name)))
     monkeypatch.setattr(classifier, "load_weights", lambda path: types.SimpleNamespace(n=150))
-    monkeypatch.setattr(classifier, "forward", forward)
+    monkeypatch.setattr(classifier, "probabilities", probabilities)
     _, lines, _ = run_to_lines(cfg)
     return lines, uploads, classified
 
@@ -220,7 +220,9 @@ class TestOneDetectionPath:
         # by gesture: rejected, accepted at the threshold, accepted
         probs = (0.25, classifier.DECISION_THRESHOLD, 0.75)
         monkeypatch.setattr(classifier, "load_weights", lambda path: types.SimpleNamespace(n=150))
-        monkeypatch.setattr(classifier, "forward", lambda weights, window: probs[int(window.poi.t // 15.0) % 3])
+        monkeypatch.setattr(
+            classifier, "probabilities", lambda weights, windows: [probs[int(w.poi.t // 15.0) % 3] for w in windows]
+        )
         _, lines, _ = run_to_lines(cfg)
         times, n_pois = metrics.detect_gesture_times(cfg.participants[0].series, cfg.detector, "weights")
         assert (len(times), n_pois) == (12, 18)
