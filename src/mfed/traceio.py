@@ -3,7 +3,7 @@
 Trace CSV: header ``t_ms,ax,ay,az``; integer milliseconds, decimal
 accelerations in m/s^2. Annotation CSV: header ``t_ms``, one mouth-contact
 instant per row (fields after the first are ignored). Timestamps must be
-strictly increasing in both and samples finite. An error names its file
+non-negative and strictly increasing in both, and samples finite. An error names its file
 and the 1-based physical line on which the bad row starts, so a quoted
 field that holds a line end counts every line it spans.
 
@@ -107,7 +107,7 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     )
     t = rows["t_ms"] / 1000.0
     values = np.ascontiguousarray(rows["v"])
-    if not (np.all(t[1:] > t[:-1]) and np.all(np.isfinite(values))):
+    if not (np.all(t[:1] >= 0) and np.all(t[1:] > t[:-1]) and np.all(np.isfinite(values))):
         return None
     return t, values
 
@@ -179,6 +179,8 @@ def _parse_lines(path: str, header: tuple[str, ...], extra_fields: bool = False)
                     raise ParseError("samples must be finite", line=lineno)
                 if t and ts <= t[-1]:
                     raise NonMonotonicTimestamp(f"t_ms {t_ms} does not increase past {ms(t[-1])}", line=lineno)
+                if t_ms < 0:  # past the check above, only the first row can be negative
+                    raise ParseError(f"t_ms {t_ms} is negative", line=lineno)
                 t.append(ts)
                 values.append(v)
     except ParseError as e:

@@ -232,6 +232,12 @@ class TestSweepAndRate:
         assert main(["poi-rate", "--trace", str(trace)]) == 2
         assert "error: line 3: bytes that are not valid UTF-8" in capsys.readouterr().err
 
+    def test_negative_timestamp_exit_2_naming_line_and_file(self, tmp_path, capsys):
+        trace = tmp_path / "neg.csv"
+        trace.write_text("t_ms,ax,ay,az\n-80,0,0,9.8\n0,0,0,9.8\n")
+        assert main(["poi-rate", "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == f"error: line 2: t_ms -80 is negative (in {trace})\n"
+
     def test_row_after_a_multiline_quoted_field_names_its_physical_line(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text('"t_ms\n",ax,ay,az\n0,0,0,9.8\nbad,0,0,9.8\n')  # bad is on line 4

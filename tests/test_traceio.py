@@ -122,6 +122,13 @@ class TestLoadAnnotations:
             load_annotations(str(path))
         assert err.value.line == 3
 
+    def test_negative_instant_rejected_with_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("t_ms\n-5\n10\n")
+        with pytest.raises(ParseError) as err:
+            load_annotations(str(path))
+        assert err.value.line == 2
+
 
 # ---------------------------------------------------------------------------
 # The bulk reader against the line parser, on generated CSV text
@@ -231,10 +238,11 @@ class TestBulkMatchesLineParser:
             (b't_ms,ax,ay,"az\n0,0.5,-1,9.8\n40,1e-3,2,9.7\n', 1),  # the open quote runs to the end
             (b"\xef\xbb\xbft_ms,ax,ay,az\n0,0.5,-1,9.8\n", 1),  # the BOM is part of the first field
             (b"t_ms,ax,ay,az\n0,0.5,-1,9.8\n40,\xff,2,9.7\n", 3),
+            (b"t_ms,ax,ay,az\n-80,0.5,-1,9.8\n0,1e-3,2,9.7\n", 2),  # parses on both readers
         ],
         ids=[
             "crlf-body", "quoted-header", "two-line-header", "cr-in-quoted-header", "header-quote-left-open",
-            "utf8-bom", "not-utf8-body",
+            "utf8-bom", "not-utf8-body", "negative-first-t",
         ],
     )
     def test_bytes(self, csv_path, data, reader):
