@@ -21,6 +21,7 @@ from mfed.ema import (
     Suppressed,
     SuppressReason,
     SurveyKind,
+    first_person_gt,
     flow_step,
     hourly_tick,
     new_flow,
@@ -379,6 +380,23 @@ class TestCollaborativeGt:
                   Participant("kid", "h1", Role.DAUGHTER)]
         records = resolve_collaborative_gt([confirmed("s", reporter, hm(12), {"children"})], roster)
         assert [r.subject_id for r in records] == ["kid"]
+
+
+class TestFirstPersonGt:
+    def test_point_window_at_the_event_start_for_answered_eating_surveys_only(self):
+        event_t = hm(12, 10)
+        responses = [
+            confirmed("s1", "p1", event_t, {"nobody"}),
+            EmaResponse("s2", "p1", SurveyKind.EATING, t=event_t + 600.0, event_t=event_t, eating_confirmed=False),
+            mood_response("s3", "p1", hm(13), True),
+            EmaResponse("s4", "p1", SurveyKind.EATING, t=event_t + 700.0, event_t=event_t),
+        ]
+        records = first_person_gt(responses)
+        assert [(r.subject_id, r.window, r.fact, r.provenance.first_person) for r in records] == [
+            ("p1", (event_t, event_t), Fact.WAS_EATING, "s1"),
+            ("p1", (event_t, event_t), Fact.WAS_NOT_EATING, "s2"),
+        ]
+        assert all(r.provenance.kind == "first_person" and not r.missed_detection for r in records)
 
 
 def mood_response(survey_id, pid, t, ate):
