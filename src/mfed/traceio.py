@@ -2,10 +2,10 @@
 
 Trace CSV: header ``t_ms,ax,ay,az``; integer milliseconds, decimal
 accelerations in m/s^2. Annotation CSV: header ``t_ms``, one mouth-contact
-instant per row (fields after the first are ignored). Timestamps must be
-non-negative and strictly increasing in both, and samples finite. An error names its file
-and the 1-based physical line on which the bad row starts, so a quoted
-field that holds a line end counts every line it spans.
+instant per row (fields after the first are ignored). Timestamps are
+non-negative and strictly increasing in both, samples finite. An error
+names its file and the 1-based physical line on which the bad row starts,
+so a quoted field that holds a line end counts every line it spans.
 
 Both readers parse the body in bulk first: one ``np.loadtxt`` call, then
 vectorised monotonicity and finiteness checks. The bulk path only vouches

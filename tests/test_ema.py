@@ -382,6 +382,12 @@ class TestCollaborativeGt:
         assert [r.subject_id for r in records] == ["kid"]
 
 
+def mood_response(survey_id, pid, t, ate):
+    return EmaResponse(
+        survey_id, pid, SurveyKind.MOOD, t=t, ate_last_hour=ate, mood=(1,) * 8
+    )
+
+
 class TestFirstPersonGt:
     def test_point_window_at_the_event_start_for_answered_eating_surveys_only(self):
         event_t = hm(12, 10)
@@ -397,12 +403,6 @@ class TestFirstPersonGt:
             ("p1", (event_t, event_t), Fact.WAS_NOT_EATING, "s2"),
         ]
         assert all(r.provenance.kind == "first_person" and not r.missed_detection for r in records)
-
-
-def mood_response(survey_id, pid, t, ate):
-    return EmaResponse(
-        survey_id, pid, SurveyKind.MOOD, t=t, ate_last_hour=ate, mood=(1,) * 8
-    )
 
 
 class TestHourlyGt:
