@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,83 @@ def test_random_walks_terminate_or_raise(choices, eating):
             assert r.who_with is not None and r.eah is not None
         if r.eating_confirmed is False:
             assert r.not_eating_activity is not None
+
+
+GRAPH_ANSWERS = {
+    "yes": True,
+    "no": False,
+    "done": ema.DONE,
+    "activity": NotEatingActivity(frozenset({"smoking", "other"})),
+    "battery": battery(hunger=40, who_with=frozenset({"mother", "children"}), eating_type="snack"),
+    "mood": MOOD,
+    "mood+ate": MoodItems(MOOD.items, ate_last_hour=True),
+    "12": 12,
+    "banana": "banana",
+}
+GRAPH_STAGES = {
+    "eating?": Stage.ASK_WERE_YOU_EATING,
+    "what?": Stage.ASK_WHAT_DOING,
+    "finished?": Stage.ASK_FINISHED,
+    "wait": Stage.AWAIT_DONE,
+    "battery?": Stage.ASK_EATING_BATTERY,
+    "mood?": Stage.ASK_MOOD_ITEMS,
+    "end": Stage.TERMINAL,
+}
+# what each answer (column) gives at each stage (row) of an eating and of a mood
+# survey: the next stage, "-" for InvalidTransition or "!" for InvalidAnswer
+GRAPH_TABLE = """
+kind    stage      yes        no      done      activity  battery   mood  mood+ate  12  banana
+eating  eating?    finished?  what?   -         -         -         -     -         -   -
+eating  what?      -          -       -         mood?     -         -     -         -   -
+eating  finished?  battery?   wait    -         -         -         -     -         -   -
+eating  wait       -          -       battery?  -         -         -     -         -   -
+eating  battery?   -          -       -         -         mood?     -     -         -   -
+eating  mood?      -          -       -         -         -         end   !         -   -
+eating  end        -          -       -         -         -         -     -         -   -
+mood    eating?    finished?  what?   -         -         -         -     -         -   -
+mood    what?      -          -       -         mood?     -         -     -         -   -
+mood    finished?  battery?   wait    -         -         -         -     -         -   -
+mood    wait       -          -       battery?  -         -         -     -         -   -
+mood    battery?   -          -       -         -         mood?     -     -         -   -
+mood    mood?      -          -       -         -         -         !     end       -   -
+mood    end        -          -       -         -         -         -     -         -   -
+"""
+# (stage, answer) -> the response fields a step records; every other step records nothing
+GRAPH_RECORDS = {
+    ("eating?", "yes"): {"eating_confirmed": True},
+    ("eating?", "no"): {"eating_confirmed": False},
+    ("what?", "activity"): {"not_eating_activity": GRAPH_ANSWERS["activity"]},
+    ("battery?", "battery"): {
+        "hunger": 40.0,
+        "satiety": 80.0,
+        "eah": (1,) * 16,
+        "who_with": frozenset({"mother", "children"}),
+        "eating_type": "snack",
+    },
+    ("mood?", "mood"): {"mood": MOOD.items, "ate_last_hour": None},
+    ("mood?", "mood+ate"): {"mood": MOOD.items, "ate_last_hour": True},
+}
+
+
+def test_question_graph_table():
+    header, *rows = (line.split() for line in GRAPH_TABLE.strip().splitlines())
+    assert header[2:] == list(GRAPH_ANSWERS)
+    assert [row[:2] for row in rows] == [[k, s] for k in ("eating", "mood") for s in GRAPH_STAGES]
+    for kind, stage, *outcomes in rows:
+        start = new_flow(eating_survey() if kind == "eating" else mood_survey())
+        start = replace(start, stage=GRAPH_STAGES[stage])
+        for (name, answer), outcome in zip(GRAPH_ANSWERS.items(), outcomes, strict=True):
+            case = (kind, stage, name)
+            if outcome in ("-", "!"):
+                error = InvalidTransition if outcome == "-" else InvalidAnswer
+                with pytest.raises(error):
+                    flow_step(start, answer)
+                continue
+            after = flow_step(start, answer)
+            assert after.stage is GRAPH_STAGES[outcome], case
+            recorded = GRAPH_RECORDS.get((stage, name), {})
+            assert after.collected == replace(start.collected, **recorded), case
+            assert all(type(getattr(after.collected, f)) is type(v) for f, v in recorded.items()), case
 
 
 def fig12_roster():
