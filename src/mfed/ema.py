@@ -247,7 +247,6 @@ class EmaResponse:
 
 @dataclass(frozen=True)
 class EmaFlowState:
-    survey: EmaSurvey
     stage: Stage
     collected: EmaResponse
 
@@ -255,11 +254,7 @@ class EmaFlowState:
 def new_flow(survey: EmaSurvey) -> EmaFlowState:
     stage = Stage.ASK_WERE_YOU_EATING if survey.kind is SurveyKind.EATING else Stage.ASK_MOOD_ITEMS
     anchor = survey.event.start if survey.event is not None else None
-    return EmaFlowState(
-        survey,
-        stage,
-        EmaResponse(survey.id, survey.participant_id, survey.kind, event_t=anchor),
-    )
+    return EmaFlowState(stage, EmaResponse(survey.id, survey.participant_id, survey.kind, event_t=anchor))
 
 
 def validate_who_with(who_with: frozenset[str]):
@@ -270,94 +265,75 @@ def validate_who_with(who_with: frozenset[str]):
         raise InvalidAnswer("who-with 'nobody' excludes all other options")
 
 
-def _validate_mood(answer: MoodItems, kind: SurveyKind):
-    if len(answer.items) != len(MOOD_ITEMS):
-        raise InvalidAnswer(f"mood takes {len(MOOD_ITEMS)} items, got {len(answer.items)}")
-    for v in answer.items:
+def _check_likert(name: str, items: tuple[int, ...], count: int):
+    if len(items) != count:
+        raise InvalidAnswer(f"{name} takes {count} items, got {len(items)}")
+    for v in items:
         if not isinstance(v, int) or not 1 <= v <= 4:
-            raise InvalidAnswer(f"mood items are Likert 1-4, got {v!r}")
-    if kind is SurveyKind.MOOD and not isinstance(answer.ate_last_hour, bool):
-        raise InvalidAnswer("mood EMAs require the ate-last-hour answer")
-    if kind is SurveyKind.EATING and answer.ate_last_hour is not None:
-        raise InvalidAnswer("eating EMAs do not ask ate-last-hour")
+            raise InvalidAnswer(f"{name} items are Likert 1-4, got {v!r}")
 
 
-def _validate_battery(answer: EatingBattery):
-    if not 0 <= answer.hunger <= 100:
-        raise InvalidAnswer(f"hunger is on a 0-100 scale, got {answer.hunger}")
-    if not 0 <= answer.satiety <= 100:
-        raise InvalidAnswer(f"satiety is on a 0-100 scale, got {answer.satiety}")
-    if len(answer.eah) != EAH_ITEM_COUNT:
-        raise InvalidAnswer(f"the eating survey has {EAH_ITEM_COUNT} items, got {len(answer.eah)}")
-    for v in answer.eah:
-        if not isinstance(v, int) or not 1 <= v <= 4:
-            raise InvalidAnswer(f"eating-survey items are 1-4, got {v!r}")
+def _record_activity(resp: EmaResponse, answer: NotEatingActivity) -> EmaResponse:
+    unknown = answer.options - NOT_EATING_OPTIONS
+    if unknown:
+        raise InvalidAnswer(f"unknown activities {sorted(unknown)}")
+    if not answer.options:
+        raise InvalidAnswer("select at least one activity")
+    return replace(resp, not_eating_activity=answer)
+
+
+def _record_battery(resp: EmaResponse, answer: EatingBattery) -> EmaResponse:
+    for name in ("hunger", "satiety"):
+        if not 0 <= getattr(answer, name) <= 100:
+            raise InvalidAnswer(f"{name} is on a 0-100 scale, got {getattr(answer, name)}")
+    _check_likert("the eating survey", answer.eah, EAH_ITEM_COUNT)
     validate_who_with(answer.who_with)
     if answer.eating_type not in EATING_TYPES:
         raise InvalidAnswer(f"eating type must be one of {EATING_TYPES}, got {answer.eating_type!r}")
+    return replace(
+        resp,
+        hunger=float(answer.hunger),
+        satiety=float(answer.satiety),
+        eah=tuple(answer.eah),
+        who_with=answer.who_with,
+        eating_type=answer.eating_type,
+    )
+
+
+def _record_mood(resp: EmaResponse, answer: MoodItems) -> EmaResponse:
+    _check_likert("mood", answer.items, len(MOOD_ITEMS))
+    if resp.kind is SurveyKind.MOOD and not isinstance(answer.ate_last_hour, bool):
+        raise InvalidAnswer("mood EMAs require the ate-last-hour answer")
+    if resp.kind is SurveyKind.EATING and answer.ate_last_hour is not None:
+        raise InvalidAnswer("eating EMAs do not ask ate-last-hour")
+    return replace(resp, mood=tuple(answer.items), ate_last_hour=answer.ate_last_hour)
+
+
+# the question graph: (stage, answer) -> next stage, where a yes/no or DONE
+# answer stands for itself and any other answer for its type
+_GRAPH = {
+    (Stage.ASK_WERE_YOU_EATING, True): Stage.ASK_FINISHED,
+    (Stage.ASK_WERE_YOU_EATING, False): Stage.ASK_WHAT_DOING,
+    (Stage.ASK_FINISHED, True): Stage.ASK_EATING_BATTERY,
+    (Stage.ASK_FINISHED, False): Stage.AWAIT_DONE,
+    (Stage.AWAIT_DONE, DONE): Stage.ASK_EATING_BATTERY,
+    (Stage.ASK_WHAT_DOING, NotEatingActivity): Stage.ASK_MOOD_ITEMS,
+    (Stage.ASK_EATING_BATTERY, EatingBattery): Stage.ASK_MOOD_ITEMS,
+    (Stage.ASK_MOOD_ITEMS, MoodItems): Stage.TERMINAL,
+}
+_RECORDERS = {NotEatingActivity: _record_activity, EatingBattery: _record_battery, MoodItems: _record_mood}
 
 
 def flow_step(state: EmaFlowState, answer) -> EmaFlowState:
-    """Advance one stage; raises InvalidAnswer / InvalidTransition."""
-    stage, resp = state.stage, state.collected
-
-    if stage is Stage.ASK_WERE_YOU_EATING:
-        if not isinstance(answer, bool):
-            raise InvalidTransition(f"{stage.value} takes a yes/no answer, got {type(answer).__name__}")
-        nxt = Stage.ASK_FINISHED if answer else Stage.ASK_WHAT_DOING
-        return replace(state, stage=nxt, collected=replace(resp, eating_confirmed=answer))
-
-    if stage is Stage.ASK_WHAT_DOING:
-        if not isinstance(answer, NotEatingActivity):
-            raise InvalidTransition(f"{stage.value} takes a NotEatingActivity, got {type(answer).__name__}")
-        unknown = answer.options - NOT_EATING_OPTIONS
-        if unknown:
-            raise InvalidAnswer(f"unknown activities {sorted(unknown)}")
-        if not answer.options:
-            raise InvalidAnswer("select at least one activity")
-        return replace(
-            state, stage=Stage.ASK_MOOD_ITEMS, collected=replace(resp, not_eating_activity=answer)
-        )
-
-    if stage is Stage.ASK_FINISHED:
-        if not isinstance(answer, bool):
-            raise InvalidTransition(f"{stage.value} takes a yes/no answer, got {type(answer).__name__}")
-        nxt = Stage.ASK_EATING_BATTERY if answer else Stage.AWAIT_DONE
-        return replace(state, stage=nxt)
-
-    if stage is Stage.AWAIT_DONE:
-        if answer != DONE:
-            raise InvalidTransition(f"{stage.value} waits for the DONE press, got {answer!r}")
-        return replace(state, stage=Stage.ASK_EATING_BATTERY)
-
-    if stage is Stage.ASK_EATING_BATTERY:
-        if not isinstance(answer, EatingBattery):
-            raise InvalidTransition(f"{stage.value} takes an EatingBattery, got {type(answer).__name__}")
-        _validate_battery(answer)
-        return replace(
-            state,
-            stage=Stage.ASK_MOOD_ITEMS,
-            collected=replace(
-                resp,
-                hunger=float(answer.hunger),
-                satiety=float(answer.satiety),
-                eah=tuple(answer.eah),
-                who_with=answer.who_with,
-                eating_type=answer.eating_type,
-            ),
-        )
-
-    if stage is Stage.ASK_MOOD_ITEMS:
-        if not isinstance(answer, MoodItems):
-            raise InvalidTransition(f"{stage.value} takes MoodItems, got {type(answer).__name__}")
-        _validate_mood(answer, state.survey.kind)
-        return replace(
-            state,
-            stage=Stage.TERMINAL,
-            collected=replace(resp, mood=tuple(answer.items), ate_last_hour=answer.ate_last_hour),
-        )
-
-    raise InvalidTransition("the survey is complete")
+    """Advance one edge of the question graph; raises InvalidAnswer / InvalidTransition."""
+    key = answer if isinstance(answer, bool) or answer == DONE else type(answer)
+    nxt = _GRAPH.get((state.stage, key))
+    if nxt is None:
+        raise InvalidTransition(f"{state.stage.value} does not take {answer!r}")
+    if state.stage is Stage.ASK_WERE_YOU_EATING:
+        return EmaFlowState(nxt, replace(state.collected, eating_confirmed=answer))
+    record = _RECORDERS.get(type(answer))
+    return EmaFlowState(nxt, record(state.collected, answer) if record else state.collected)
 
 
 # ---------------------------------------------------------------------------
