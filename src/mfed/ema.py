@@ -435,7 +435,7 @@ def resolve_collaborative_gt(
             lo = max(grp[0][0] - COLLAB_WINDOW, 0.0)
             hi = grp[-1][0] + COLLAB_WINDOW
             first = None
-            for own_t, own_survey in confirmed_own.get(subject_id, ()):
+            for own_t, own_survey in sorted(confirmed_own.get(subject_id, ())):
                 if lo <= own_t <= hi:
                     first = own_survey
                     break

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -423,6 +424,18 @@ class TestCollaborativeGt:
         assert len(records) == 1
         assert records[0].provenance.kind == "collaborative+first_person"
         assert records[0].provenance.first_person == "sA"
+
+    def test_first_person_merge_takes_the_earliest_own_event_in_any_order(self):
+        # both of A's own events fall inside the window B's mention opens
+        roster = fig12_roster()
+        responses = [
+            confirmed("sA1", "A", 100.0, {"nobody"}),
+            confirmed("sA2", "A", 200.0, {"nobody"}),
+            confirmed("sB", "B", 150.0, {"spouse_partner"}),
+        ]
+        for perm in itertools.permutations(responses):
+            records = resolve_collaborative_gt(list(perm), roster)
+            assert [(r.subject_id, r.provenance.first_person) for r in records] == [("A", "sA1")]
 
     def test_mentions_that_never_resolve(self):
         roster = fig12_roster()
