@@ -131,7 +131,7 @@ class SuppressReason(Enum):
 
 @dataclass
 class ScheduleState:
-    last_sent_t: float | None = None
+    last_sent_t: float = -math.inf
     eating_ema_hours: set[int] = field(default_factory=set)
 
 
@@ -150,10 +150,6 @@ class Suppressed:
     reason: SuppressReason
 
 
-def _gap_ok(state: ScheduleState, at: float) -> bool:
-    return state.last_sent_t is None or at - state.last_sent_t >= EMA_MIN_GAP
-
-
 def on_event_detected(
     participant: Participant,
     event: EatingEvent,
@@ -164,7 +160,7 @@ def on_event_detected(
     """Schedule the eating EMA for a freshly detected event, or suppress it."""
     at = now + EATING_EMA_DELAY
     hour = clock.hour_index(at)
-    if not _gap_ok(state, at) or hour in state.eating_ema_hours:
+    if at - state.last_sent_t < EMA_MIN_GAP or hour in state.eating_ema_hours:
         return Suppressed(SuppressReason.RATE_LIMITED)
     if not clock.in_window(participant, at):
         return Suppressed(SuppressReason.OUTSIDE_WINDOW)
@@ -184,7 +180,7 @@ def hourly_tick(
         return Suppressed(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
     if not clock.in_window(participant, hour_start):
         return Suppressed(SuppressReason.OUTSIDE_WINDOW)
-    if not _gap_ok(state, hour_start):
+    if hour_start - state.last_sent_t < EMA_MIN_GAP:
         return Suppressed(SuppressReason.RATE_LIMITED)
     state.last_sent_t = hour_start
     return SendMoodEma(hour_start)

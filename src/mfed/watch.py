@@ -50,7 +50,7 @@ class WatchState:
     duty: DutyCycleConfig | None = None  # None: no battery samples
     poi_times: list[float] = field(default_factory=list)  # inside the quorum window
     unsent_pois: list[float] = field(default_factory=list)  # counted since the last upload
-    last_upload_t: float | None = None
+    last_upload_t: float = -math.inf
     pending_quorum: bool = False
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
     last_now: float = -math.inf
@@ -80,8 +80,8 @@ def _check_clock(state: WatchState, now: float):
 def _unsent_samples(state: WatchState, now: float) -> AccelSeries:
     """Samples taken after the last upload up to ``now``."""
     t = state.series.t
-    lo = 0 if state.last_upload_t is None else np.searchsorted(t, state.last_upload_t, side="right")
-    return state.series.rows(lo, np.searchsorted(t, now, side="right"))
+    lo, hi = np.searchsorted(t, (state.last_upload_t, now), side="right")
+    return state.series.rows(lo, hi)
 
 
 def _battery_due(state: WatchState, now: float) -> bool:
@@ -100,7 +100,7 @@ def _take_battery_samples(state: WatchState, now: float) -> tuple[tuple[float, f
 
 def _make_upload(state: WatchState, now: float) -> Upload:
     payload = UploadPayload(
-        (0.0 if state.last_upload_t is None else state.last_upload_t, now),
+        (max(state.last_upload_t, 0.0), now),
         tuple(state.unsent_pois),
         _unsent_samples(state, now),
         tuple(state.pending_beacons),
@@ -116,7 +116,7 @@ def _make_upload(state: WatchState, now: float) -> Upload:
 
 def _cooldown_over(state: WatchState, policy: UploadPolicy, now: float) -> bool:
     # the sum, not now - last_upload_t: a tick at last_upload_t + min_upload_gap must find it over
-    return state.last_upload_t is None or now >= state.last_upload_t + policy.min_upload_gap
+    return now >= state.last_upload_t + policy.min_upload_gap
 
 
 def on_poi(state: WatchState, poi_t: float, policy: UploadPolicy, now: float) -> Upload | None:
