@@ -9,19 +9,21 @@ Scheduling rules:
     (start hour inclusive, end hour exclusive, local clock).
   - Mood EMAs go out on the hour when the hour saw no eating EMA.
 
-Survey flows follow the two question graphs: an eating EMA asks for
-confirmation, branches through the finished/DONE wait into the eating
-battery (hunger, satiety, the 16 eating-in-absence-of-hunger items,
-who-with, occasion type) or through the what-were-you-doing probe, and
-both paths end with the 8 mood items. A mood EMA asks the mood items plus
-"did you eat in the last hour".
+Survey flows walk one question graph, ``_GRAPH``, a table from (stage,
+answer) to the next stage. An eating EMA asks for confirmation, then
+either the finished/DONE wait and the eating battery (hunger, satiety,
+the 16 eating-in-absence-of-hunger items, who-with, occasion type) or the
+what-were-you-doing probe; both end with the 8 mood items. A mood EMA
+asks the mood items plus "did you eat in the last hour". A pair outside
+the table raises InvalidTransition, an out-of-range answer InvalidAnswer.
 
 Ground truth: a confirmed eating EMA is first-person truth for its
 reporter. Who-with mentions that resolve to exactly one housemate create
-collaborative truth for that housemate within a 15-minute window;
-ambiguous mentions (several matching housemates) create nothing. Hourly
-mood answers corroborate or, when no event was detected in the prior
-hour, flag a missed detection.
+collaborative truth for that housemate within a 15-minute window, merged
+with the housemate's earliest own confirmed event inside it; ambiguous
+mentions (several matching housemates) create nothing. Hourly mood
+answers corroborate or, when no event was detected in the prior hour,
+flag a missed detection.
 """
 from __future__ import annotations
 
@@ -392,8 +394,8 @@ def resolve_collaborative_gt(
     A mention counts only when exactly one roster member of the home can
     carry it. Mentions of one subject whose reporter event times chain
     within ``COLLAB_WINDOW`` coalesce into a single record; a record whose
-    window covers the subject's own confirmed event gains merged
-    provenance. A window starts no earlier than the run, at 0. The result
+    window covers the subject's own confirmed events gains merged
+    provenance from the earliest of them, by (time, survey id). A window starts no earlier than the run, at 0. The result
     is independent of the order of ``responses``.
     """
     by_id = {p.id: p for p in roster}
