@@ -394,9 +394,10 @@ def resolve_collaborative_gt(
     A mention counts only when exactly one roster member of the home can
     carry it. Mentions of one subject whose reporter event times chain
     within ``COLLAB_WINDOW`` coalesce into a single record; a record whose
-    window covers the subject's own confirmed events gains merged
-    provenance from the earliest of them, by (time, survey id). A window starts no earlier than the run, at 0. The result
-    is independent of the order of ``responses``.
+    window covers the subject's own confirmed events takes the earliest
+    of them, by (time, survey id), as merged provenance. A window starts
+    no earlier than the run, at 0. The result is independent of the order
+    of ``responses``.
     """
     by_id = {p.id: p for p in roster}
     by_home: dict[str, list[Participant]] = {}

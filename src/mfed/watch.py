@@ -79,8 +79,7 @@ def _check_clock(state: WatchState, now: float):
 
 def _unsent_samples(state: WatchState, now: float) -> AccelSeries:
     """Samples taken after the last upload up to ``now``."""
-    t = state.series.t
-    lo, hi = np.searchsorted(t, (state.last_upload_t, now), side="right")
+    lo, hi = np.searchsorted(state.series.t, (state.last_upload_t, now), side="right")
     return state.series.rows(lo, hi)
 
 
