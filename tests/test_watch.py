@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfed.errors import ClockRegression, ConfigError
 from mfed.signal_core import AccelSeries
@@ -205,3 +209,73 @@ class TestPayloadConservation:
         assert final is not None
         assert len(final.payload.accel) == 250
         assert final.payload.span[1] == 10.0
+
+
+def _reference_schedule(peaks, decided, policy, end):
+    """The upload rule by brute force: (span, pois) of each upload. The first
+    unsent PoI whose quorum window holds ``quorum`` unsent PoIs fixes the
+    upload time, its decision time or the end of the cooldown if later; the
+    upload takes every unsent PoI decided by then. The flush takes the rest."""
+    uploads, last, i = [], -math.inf, 0
+    while True:
+        met = [
+            j for j in range(i, len(peaks))
+            if sum(peaks[k] >= peaks[j] - policy.quorum_window for k in range(i, j + 1)) >= policy.quorum
+        ]
+        if not met:
+            break
+        at = max(decided[met[0]], last + policy.min_upload_gap)
+        taken = [k for k in range(i, len(peaks)) if decided[k] <= at]
+        uploads.append(((max(last, 0.0), at), tuple(peaks[k] for k in taken)))
+        last, i = at, taken[-1] + 1
+    uploads.append(((max(last, 0.0), end), tuple(peaks[i:])))
+    return uploads
+
+
+@st.composite
+def _poi_stream(draw):
+    steps = draw(st.lists(st.floats(0.01, 100.0), max_size=30))
+    peaks, decided = [], []
+    for step in steps:
+        peaks.append((peaks[-1] if peaks else 0.0) + step)
+        lag = draw(st.floats(0.0, 10.0))
+        decided.append(max(peaks[-1] + lag, decided[-1] + 0.01 if decided else 0.0))
+    policy = UploadPolicy(
+        quorum=draw(st.integers(1, 5)),
+        quorum_window=draw(st.floats(10.0, 200.0)),
+        min_upload_gap=draw(st.floats(0.0, 120.0)),
+    )
+    return peaks, decided, policy
+
+
+@given(_poi_stream())
+@settings(max_examples=200, deadline=None)
+def test_upload_schedule_matches_reference(stream):
+    # driven the way the simulator drives the watch: each PoI at its decision
+    # time, a tick at the last upload + min_upload_gap (a no-op unless a quorum
+    # was held back, and handled after PoIs decided at the same instant), then
+    # the flush once every tick is due
+    peaks, decided, policy = stream
+    end = (decided[-1] if decided else 0.0) + 200.0
+    state = WatchState(series(duration=end))
+    uploads = []
+    tick = math.inf
+
+    def ship(upload):
+        # after a tick that ships nothing, nothing is held back until the next upload
+        nonlocal tick
+        tick = math.inf
+        if upload is not None:
+            uploads.append((upload.payload.span, upload.payload.pois))
+            tick = upload.payload.span[1] + policy.min_upload_gap
+
+    for peak, now in zip(peaks, decided):
+        while tick < now:
+            ship(on_tick(state, tick, policy))
+        upload = on_poi(state, peak, policy, now)
+        if upload is not None:
+            ship(upload)
+    if tick < end:
+        ship(on_tick(state, tick, policy))
+    ship(flush(state, end))
+    assert uploads == _reference_schedule(peaks, decided, policy, end)
