@@ -241,11 +241,11 @@ class HomeSimulation:
         upload = watch.on_poi(node.watch, poi.t, self.cfg.policy, t)
         if upload is not None:
             self._handle_upload(t, node, upload)
-        elif node.watch.pending_quorum:
-            self._push(node.watch.last_upload_t + self.cfg.policy.min_upload_gap, "tick", node)
+        elif node.watch.upload_due < math.inf:
+            self._push(node.watch.upload_due, "tick", node)
 
     def _handle_tick(self, t: float, node: _Node, _):
-        upload = watch.on_tick(node.watch, t, self.cfg.policy)
+        upload = watch.on_tick(node.watch, t)
         if upload is not None:
             self._handle_upload(t, node, upload)
 

@@ -1,12 +1,12 @@
 """Watch-side node: upload quorum, cooldown, and duty-cycled sensors.
 
 The watch counts a PoI at its decision time (``signal_core.decision_times``).
-When ``quorum`` PoIs land inside a sliding ``quorum_window`` it uploads
-immediately, unless the previous upload was under ``min_upload_gap`` ago,
-in which case the upload is marked pending and fires from ``on_tick`` at
-cooldown expiry. Each upload, like the final ``flush``, ships the samples
-taken after the previous upload up to and including its own time, and
-names every PoI counted since the previous upload.
+When ``quorum`` unsent PoIs lie within ``quorum_window`` before the new one,
+it uploads at once; within ``min_upload_gap`` of the previous upload, the
+upload is held back until ``upload_due``, the end of that gap, when
+``on_tick`` ships it. Each upload, like the final ``flush``, ships the
+samples taken after the previous upload up to and including its own time,
+and names every PoI counted since the previous upload.
 
 With a ``DutyCycleConfig``, beacon scans run at each ``k*beacon_interval``:
 the simulator schedules them and appends their readings to
@@ -48,10 +48,9 @@ class DutyCycleConfig:
 class WatchState:
     series: AccelSeries  # trace backing upload payloads
     duty: DutyCycleConfig | None = None  # None: no battery samples
-    poi_times: list[float] = field(default_factory=list)  # inside the quorum window
     unsent_pois: list[float] = field(default_factory=list)  # counted since the last upload
     last_upload_t: float = -math.inf
-    pending_quorum: bool = False
+    upload_due: float = math.inf  # when a held-back upload ships; inf while none is held back
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
     last_now: float = -math.inf
     _next_battery: int = 0  # index of the first battery sample not yet shipped
@@ -106,46 +105,33 @@ def _make_upload(state: WatchState, now: float) -> Upload:
         _take_battery_samples(state, now),
     )
     state.last_upload_t = now
-    state.pending_quorum = False
-    state.poi_times.clear()
+    state.upload_due = math.inf
     state.unsent_pois.clear()
     state.pending_beacons.clear()
     return Upload(payload)
 
 
-def _cooldown_over(state: WatchState, policy: UploadPolicy, now: float) -> bool:
-    # the sum, not now - last_upload_t: a tick at last_upload_t + min_upload_gap must find it over
-    return now >= state.last_upload_t + policy.min_upload_gap
-
-
 def on_poi(state: WatchState, poi_t: float, policy: UploadPolicy, now: float) -> Upload | None:
-    """Count one PoI at ``now``, its decision time; returns an Upload when
-    the quorum rule fires."""
+    """Count the PoI peaking at ``poi_t`` at ``now``, its decision time. Once
+    ``quorum`` unsent PoIs, this one included, peak at or after ``poi_t -
+    quorum_window``, returns the upload, or holds it back to ``upload_due``
+    within ``min_upload_gap`` of the last upload."""
     if now < poi_t:
         raise ClockRegression(f"poi at {poi_t} is ahead of now={now}")
     _check_clock(state, now)
 
-    state.poi_times.append(poi_t)
     state.unsent_pois.append(poi_t)
-    cutoff = poi_t - policy.quorum_window
-    while state.poi_times and state.poi_times[0] < cutoff:
-        state.poi_times.pop(0)
-
-    if len(state.poi_times) < policy.quorum:
+    if sum(t >= poi_t - policy.quorum_window for t in state.unsent_pois) < policy.quorum:
         return None
-    if not _cooldown_over(state, policy, now):
-        state.pending_quorum = True
-        return None
-    return _make_upload(state, now)
+    state.upload_due = state.last_upload_t + policy.min_upload_gap
+    return _make_upload(state, now) if now >= state.upload_due else None
 
 
-def on_tick(state: WatchState, now: float, policy: UploadPolicy) -> Upload | None:
-    """Advance the clock: returns the pending upload once its cooldown has
-    expired."""
+def on_tick(state: WatchState, now: float) -> Upload | None:
+    """Advance the clock: returns the held-back upload once ``upload_due``
+    has come."""
     _check_clock(state, now)
-    if state.pending_quorum and _cooldown_over(state, policy, now):
-        return _make_upload(state, now)
-    return None
+    return _make_upload(state, now) if now >= state.upload_due else None
 
 
 def flush(state: WatchState, now: float) -> Upload | None:

@@ -33,7 +33,7 @@ class TestOnPoi:
         assert isinstance(results[3], Upload)
         assert results[3].payload.span == (0.0, 90.0)
         assert state.last_upload_t == 90.0
-        assert state.poi_times == []
+        assert state.unsent_pois == []
 
     def test_below_quorum_no_action(self):
         state = WatchState(series())
@@ -45,7 +45,7 @@ class TestOnPoi:
             on_poi(state, t, POLICY, t)
         # 4th PoI at 130: the t=0 entry has left the 120 s window
         assert on_poi(state, 130.0, POLICY, 130.0) is None
-        assert state.poi_times == [30.0, 60.0, 130.0]
+        assert isinstance(on_poi(state, 140.0, POLICY, 140.0), Upload)
 
     def test_cooldown_defers_upload_to_tick(self):
         state = WatchState(series())
@@ -53,9 +53,9 @@ class TestOnPoi:
             on_poi(state, t, POLICY, t)
         for t in (100.0, 105.0, 110.0, 115.0):
             assert on_poi(state, t, POLICY, t) is None
-        assert state.pending_quorum
-        assert on_tick(state, 149.9, POLICY) is None
-        upload = on_tick(state, 150.0, POLICY)
+        assert state.upload_due == 150.0
+        assert on_tick(state, 149.9) is None
+        upload = on_tick(state, 150.0)
         assert isinstance(upload, Upload)
         assert upload.payload.span == (90.0, 150.0)
 
@@ -65,8 +65,8 @@ class TestOnPoi:
         policy = UploadPolicy(quorum=1, quorum_window=10.0, min_upload_gap=43.0)
         state = WatchState(series())
         assert on_poi(state, 44.04, policy, 44.04) is not None
-        assert on_poi(state, 50.0, policy, 50.0) is None and state.pending_quorum
-        assert isinstance(on_tick(state, 44.04 + 43.0, policy), Upload)
+        assert on_poi(state, 50.0, policy, 50.0) is None and state.upload_due == 44.04 + 43.0
+        assert isinstance(on_tick(state, 44.04 + 43.0), Upload)
 
     def test_clock_regression(self):
         state = WatchState(series())
@@ -97,7 +97,7 @@ class TestOnTick:
 
     def test_disabled_duty_is_silent(self):
         state = WatchState(series(duration=0.0))
-        assert on_tick(state, 100.0, POLICY) is None
+        assert on_tick(state, 100.0) is None
         assert flush(state, 100.0) is None
 
 
@@ -115,7 +115,7 @@ class TestPayloadConservation:
             result = on_poi(state, t, POLICY, t)
             if result is not None:
                 payloads.append(result.payload)
-            result = on_tick(state, t, POLICY)
+            result = on_tick(state, t)
             if result is not None:
                 payloads.append(result.payload)
         final = flush(state, 1200.0)
@@ -136,7 +136,7 @@ class TestPayloadConservation:
         now = 0.0
         while now < t[-1] - 50.0:
             now += float(rng.uniform(1.0, 40.0))
-            for result in (on_poi(state, now, POLICY, now), on_tick(state, now, POLICY)):
+            for result in (on_poi(state, now, POLICY, now), on_tick(state, now)):
                 if result is not None:
                     payloads.append(result.payload)
         payloads.append(flush(state, float(t[-1])).payload)
@@ -158,7 +158,7 @@ class TestPayloadConservation:
             result = on_poi(state, t, POLICY, t)
             if result is not None:
                 upload_times.append(t)
-            if on_tick(state, t, POLICY) is not None:
+            if on_tick(state, t) is not None:
                 upload_times.append(t)
         gaps = np.diff(upload_times)
         assert np.all(gaps >= POLICY.min_upload_gap)
@@ -184,10 +184,10 @@ class TestPayloadConservation:
                 t += float(rng.uniform(5.0, 200.0))
                 if on_poi(state, t, POLICY, t) is not None:
                     uploads += 1
-                if state.pending_quorum and burst_at is None:
+                if state.upload_due == state.last_upload_t + POLICY.min_upload_gap and burst_at is None:
                     burst_at = t
             if burst_at is not None:
-                uploads += isinstance(on_tick(state, burst_at + POLICY.min_upload_gap, POLICY), Upload)
+                uploads += isinstance(on_tick(state, burst_at + POLICY.min_upload_gap), Upload)
                 assert uploads >= 1
 
     def test_beacon_records_ride_next_upload(self):
@@ -271,11 +271,11 @@ def test_upload_schedule_matches_reference(stream):
 
     for peak, now in zip(peaks, decided):
         while tick < now:
-            ship(on_tick(state, tick, policy))
+            ship(on_tick(state, tick))
         upload = on_poi(state, peak, policy, now)
         if upload is not None:
             ship(upload)
     if tick < end:
-        ship(on_tick(state, tick, policy))
+        ship(on_tick(state, tick))
     ship(flush(state, end))
     assert uploads == _reference_schedule(peaks, decided, policy, end)
