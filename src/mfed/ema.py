@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields
+from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields, real
 from .events import EatingEvent, split_at_gaps
 
 EMA_MIN_GAP = 3600.0  # s between any two EMAs to one participant
@@ -267,7 +267,7 @@ def _check_likert(name: str, items: tuple[int, ...], count: int):
     if len(items) != count:
         raise InvalidAnswer(f"{name} takes {count} items, got {len(items)}")
     for v in items:
-        if not isinstance(v, int) or not 1 <= v <= 4:
+        if type(v) is not int or not 1 <= v <= 4:
             raise InvalidAnswer(f"{name} items are Likert 1-4, got {v!r}")
 
 
@@ -282,7 +282,7 @@ def _record_activity(resp: EmaResponse, answer: NotEatingActivity) -> EmaRespons
 
 def _record_battery(resp: EmaResponse, answer: EatingBattery) -> EmaResponse:
     for name in ("hunger", "satiety"):
-        if not 0 <= getattr(answer, name) <= 100:
+        if not 0 <= real(getattr(answer, name)) <= 100:
             raise InvalidAnswer(f"{name} is on a 0-100 scale, got {getattr(answer, name)}")
     _check_likert("the eating survey", answer.eah, EAH_ITEM_COUNT)
     validate_who_with(answer.who_with)

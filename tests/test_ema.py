@@ -218,6 +218,29 @@ class TestFlow:
             flow_step(state, MoodItems((0, 2, 3, 4, 1, 2, 3, 4), ate_last_hour=True))
 
 
+@pytest.mark.parametrize(
+    "kind, answer",
+    [
+        ("mood", MoodItems((True,) * 8, ate_last_hour=False)),
+        ("mood", MoodItems((1, 2, 3, True, 1, 2, 3, 4), ate_last_hour=False)),
+        ("battery", battery(eah=(True,) * 16)),
+        ("battery", battery(hunger=True)),
+        ("battery", battery(satiety=False)),
+        ("battery", battery(hunger="50")),
+        ("battery", battery(satiety=None)),
+    ],
+    ids=["mood-bools", "mood-one-true", "eah-bools", "hunger-bool", "satiety-bool", "hunger-str", "satiety-none"],
+)
+def test_bool_or_non_number_is_an_invalid_answer(kind, answer):
+    # a bool is no Likert item or 0-100 rating, as in the config checks
+    if kind == "mood":
+        state = new_flow(mood_survey())
+    else:
+        state = replace(new_flow(eating_survey()), stage=Stage.ASK_EATING_BATTERY)
+    with pytest.raises(InvalidAnswer):
+        flow_step(state, answer)
+
+
 ANSWER_ALPHABET = [
     True,
     False,
