@@ -136,7 +136,8 @@ class TestDeterminism:
             assert sorted(b["t_ms"] for b in beacons if b["beacon"] == beacon) == every_120_s
         assert len(beacons) == 2 * len(every_120_s)
         assert sorted(b["t_ms"] for b in batteries) == every_120_s
-        assert all(0 <= b["percent"] <= 100 for b in batteries)
+        # 1.5 percentage points an hour from a full battery
+        assert all(b["percent"] == round(max(0.0, 100 - 1.5 * b["t_ms"] / 3.6e6), 3) for b in batteries)
 
     def test_classifier_stage_runs_when_weights_given(self, tmp_path):
         from mfed import classifier as C
@@ -388,6 +389,23 @@ class TestDutyCycle:
 
         _, quiet, _ = run_to_lines(replace(cfg, duty=None))
         assert records_of(quiet, "beacon") == records_of(quiet, "battery") == []
+
+    @pytest.mark.parametrize("min_upload_gap, at_ms", [(0.0, (33_480,)), (33.48, (33_480, 66_960))])
+    def test_capture_at_an_upload_instant_ships_with_that_upload(self, min_upload_gap, at_ms):
+        # the first PoI is decided at 33.48 s; with a 33.48 s gap the second
+        # one's upload is held back to 66.96 s, when a tick ships it
+        duty = watch.DutyCycleConfig(beacon_interval=33.48, battery_interval=33.48)
+        policy = watch.UploadPolicy(quorum=1, min_upload_gap=min_upload_gap)
+        cfg = _home([30.0 + 10.0 * i for i in range(10)], policy, duty=duty, beacons=(sim.BeaconSpec("kitchen"),))
+        _, lines, _ = run_to_lines(cfg)
+        shipped_by = {}  # (kind, capture t_ms): t_ms of the upload that shipped it
+        for r in lines:
+            if r["kind"] == "upload":
+                upload_ms = r["t_ms"]
+            elif r["kind"] in ("beacon", "battery"):
+                shipped_by[r["kind"], r["t_ms"]] = upload_ms
+        for t in at_ms:
+            assert shipped_by["beacon", t] == shipped_by["battery", t] == t
 
 
 def shared_meal_home(meal_t=60.0, c_responds=False, b_who=("spouse_partner",), d_who=("mother", "brothers")):
