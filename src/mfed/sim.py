@@ -14,10 +14,11 @@ Nothing past the end of the run is counted or shipped. Identical (config,
 seed) pairs produce byte-identical JSONL logs.
 
 Unless ``duty`` is None, each watch scans the beacons at every
-``k * beacon_interval`` up to the end of the run: the scans are simulator
-events, which draw each beacon's RSSI and hand the readings to the watch.
-Beacon readings and the watch's own battery samples ride with the first
-upload at or after their capture time, or with the final flush.
+``k * beacon_interval`` and samples its battery at every
+``k * battery_interval`` up to the end of the run. Both are simulator
+events, which hand their readings to the watch: a scan draws each beacon's
+RSSI, and the battery drains linearly from full. The readings ride with the
+first upload at or after their capture time, or with the final flush.
 
 Everything is logged as one JSONL record per occurrence, ordered by
 emission time; beacon and battery records follow the upload that shipped
@@ -43,6 +44,9 @@ from . import classifier, ema, events, traceio, watch
 from .errors import ConfigError, InvalidAnswer, ShapeError, check_fields, field_hints
 from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, smooth, window_extent
 from .traceio import ms
+
+BATTERY_START_PERCENT = 100.0
+BATTERY_DRAIN_PER_HOUR = 1.5  # percentage points
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ class _Node:
         self.smoothed = smooth(self.series, cfg.detector.smooth_len)
         self.pois = detect_pois(self.smoothed, cfg.detector)
         self.poi_at = {poi.t: poi for poi in self.pois}  # upload payloads name PoIs by time
-        self.watch = watch.WatchState(self.series, duty=cfg.duty)
+        self.watch = watch.WatchState(self.series)
         self.stream = events.StreamDetector(self.pid)
         self.schedule = ema.ScheduleState()
         self.finalized: list[events.EatingEvent] = []
@@ -257,6 +261,10 @@ class HomeSimulation:
                 + node.rng.normal(0.0, beacon.noise_db)
             )
             node.watch.pending_beacons.append((t, beacon.id, round(rssi, 2)))
+
+    def _handle_battery(self, t: float, node: _Node, _):
+        percent = max(0.0, BATTERY_START_PERCENT - BATTERY_DRAIN_PER_HOUR * t / 3600.0)
+        node.watch.pending_battery.append((t, percent))
 
     def _handle_upload(self, t: float, node: _Node, upload: watch.Upload):
         payload = upload.payload
@@ -370,12 +378,14 @@ class HomeSimulation:
         a summary dict."""
         self.log_fh = log_fh
         end = self.duration
+        duty = self.cfg.duty
+        captures = [] if duty is None else [("scan", duty.beacon_interval), ("battery", duty.battery_interval)]
         for node in self.nodes:
-            # pushed first, so an upload at the instant of a scan ships its readings
-            if self.cfg.duty is not None:
+            # pushed first, so an upload at the instant of a capture ships its readings
+            for kind, interval in captures:
                 k = 0
-                while k * self.cfg.duty.beacon_interval <= end:
-                    self._push(k * self.cfg.duty.beacon_interval, "scan", node)
+                while k * interval <= end:
+                    self._push(k * interval, kind, node)
                     k += 1
             for poi, decided in zip(node.pois, decision_times(node.series, node.pois, self.cfg.detector)):
                 if decided <= end:

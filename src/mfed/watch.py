@@ -1,4 +1,4 @@
-"""Watch-side node: upload quorum, cooldown, and duty-cycled sensors.
+"""Watch-side node: upload quorum, cooldown, and what each upload ships.
 
 The watch counts a PoI at its decision time (``signal_core.decision_times``).
 When ``quorum`` unsent PoIs lie within ``quorum_window`` before the new one,
@@ -8,11 +8,10 @@ upload is held back until ``upload_due``, the end of that gap, when
 samples taken after the previous upload up to and including its own time,
 and names every PoI counted since the previous upload.
 
-With a ``DutyCycleConfig``, beacon scans run at each ``k*beacon_interval``:
-the simulator schedules them and appends their readings to
-``pending_beacons``. The battery percentage is sampled at each
-``k*battery_interval``. Both record kinds ride with the first upload at or
-after their capture time, or with the final flush.
+The simulator runs the ``DutyCycleConfig`` schedule: it appends each beacon
+reading to ``pending_beacons`` and each battery sample to ``pending_battery``.
+Each upload ships and clears both, so a reading rides with the first upload
+at or after its capture time, or with the final flush.
 """
 from __future__ import annotations
 
@@ -24,9 +23,6 @@ import numpy as np
 
 from .errors import ClockRegression, check_fields
 from .signal_core import AccelSeries
-
-BATTERY_START_PERCENT = 100.0
-BATTERY_DRAIN_PER_HOUR = 1.5  # percentage points
 
 
 @dataclass(frozen=True)
@@ -47,13 +43,12 @@ class DutyCycleConfig:
 @dataclass
 class WatchState:
     series: AccelSeries  # trace backing upload payloads
-    duty: DutyCycleConfig | None = None  # None: no battery samples
     unsent_pois: list[float] = field(default_factory=list)  # counted since the last upload
     last_upload_t: float = -math.inf
     upload_due: float = math.inf  # when a held-back upload ships; inf while none is held back
     pending_beacons: list[tuple[float, str, float]] = field(default_factory=list)
+    pending_battery: list[tuple[float, float]] = field(default_factory=list)  # (t, percent)
     last_now: float = -math.inf
-    _next_battery: int = 0  # index of the first battery sample not yet shipped
 
 
 @dataclass(frozen=True)
@@ -82,32 +77,19 @@ def _unsent_samples(state: WatchState, now: float) -> AccelSeries:
     return state.series.rows(lo, hi)
 
 
-def _battery_due(state: WatchState, now: float) -> bool:
-    return state.duty is not None and state._next_battery * state.duty.battery_interval <= now
-
-
-def _take_battery_samples(state: WatchState, now: float) -> tuple[tuple[float, float], ...]:
-    """The battery samples due by ``now`` and not yet shipped: (t, percent)."""
-    samples = []
-    while _battery_due(state, now):
-        t = state._next_battery * state.duty.battery_interval
-        samples.append((t, max(0.0, BATTERY_START_PERCENT - BATTERY_DRAIN_PER_HOUR * t / 3600.0)))
-        state._next_battery += 1
-    return tuple(samples)
-
-
 def _make_upload(state: WatchState, now: float) -> Upload:
     payload = UploadPayload(
         (max(state.last_upload_t, 0.0), now),
         tuple(state.unsent_pois),
         _unsent_samples(state, now),
         tuple(state.pending_beacons),
-        _take_battery_samples(state, now),
+        tuple(state.pending_battery),
     )
     state.last_upload_t = now
     state.upload_due = math.inf
     state.unsent_pois.clear()
     state.pending_beacons.clear()
+    state.pending_battery.clear()
     return Upload(payload)
 
 
@@ -136,10 +118,9 @@ def on_tick(state: WatchState, now: float) -> Upload | None:
 
 def flush(state: WatchState, now: float) -> Upload | None:
     """Ship what the watch holds at the end of a run: the samples up to
-    ``now``, the PoIs not yet shipped, the pending beacon readings and the
-    battery samples due."""
+    ``now``, the PoIs not yet shipped and the pending readings."""
     _check_clock(state, now)
-    pending = state.unsent_pois or state.pending_beacons or _battery_due(state, now)
+    pending = state.unsent_pois or state.pending_beacons or state.pending_battery
     if len(_unsent_samples(state, now)) or pending:
         return _make_upload(state, now)
     return None

@@ -81,19 +81,21 @@ class TestOnPoi:
 
 class TestOnTick:
     def test_duty_cycle_schedule(self):
-        # a battery sample ships with the first upload at or after its time
-        state = WatchState(series(), duty=DutyCycleConfig())
+        # the battery samples appended since the last upload ship with the next one, once
+        state = WatchState(series())
         policy = UploadPolicy(quorum=1, min_upload_gap=0.0)
-        shipped = [on_poi(state, t, policy, t).payload.battery_samples for t in (0.0, 100.0, 250.0)]
+        captured = {0.0: [(0.0, 100.0)], 100.0: [], 250.0: [(120.0, 99.95), (240.0, 99.9)]}
+        shipped = []
+        for t, samples in captured.items():
+            state.pending_battery.extend(samples)
+            shipped.append(on_poi(state, t, policy, t).payload.battery_samples)
         shipped.append(flush(state, 300.0).payload.battery_samples)
-        # 1.5 percentage points an hour from a full battery
-        assert shipped == [
-            ((0.0, 100.0),), (), ((120.0, pytest.approx(99.95)), (240.0, pytest.approx(99.9))), ()
-        ]
+        assert shipped == [((0.0, 100.0),), (), ((120.0, 99.95), (240.0, 99.9)), ()]
+        assert state.pending_battery == []
 
     def test_duty_validation(self):
         with pytest.raises(ConfigError):
-            WatchState(series(), duty=DutyCycleConfig(battery_interval=0.0))
+            DutyCycleConfig(battery_interval=0.0)
 
     def test_disabled_duty_is_silent(self):
         state = WatchState(series(duration=0.0))
@@ -199,7 +201,9 @@ class TestPayloadConservation:
         assert state.pending_beacons == []
 
     def test_flush_ships_due_battery_samples(self):
-        state = WatchState(series(duration=0.0), duty=DutyCycleConfig(battery_interval=30.0))
+        # no samples, PoIs or beacon readings: the pending battery samples alone make the flush ship
+        state = WatchState(series(duration=0.0))
+        state.pending_battery.extend([(0.0, 100.0), (30.0, 99.9875), (60.0, 99.975)])
         assert [t for t, _ in flush(state, 75.0).payload.battery_samples] == [0.0, 30.0, 60.0]
         assert flush(state, 89.0) is None
 
