@@ -10,8 +10,10 @@ Each participant's event detector only observes the gestures uploads
 deliver: an event is finalized when that participant's next event is
 detected or when the run ends, so the finalized events always equal
 ``events.detect_events`` over the participant's logged gestures.
-Nothing past the end of the run is counted or shipped. Identical (config,
-seed) pairs produce byte-identical JSONL logs.
+The run ends at ``duration_s`` or, when that is None, one sample period
+after the last sample of the trace that ends last. Nothing past the end of
+the run is counted or shipped. Identical (config, seed) pairs produce
+byte-identical JSONL logs.
 
 Unless ``duty`` is None, each watch scans the beacons at every
 ``k * beacon_interval`` and samples its battery at every
@@ -216,7 +218,8 @@ class HomeSimulation:
             rows = window_extent(config.detector.window_len, node.series.rate)[0]
             if self.weights is not None and rows != self.weights.n:
                 raise ShapeError(f"{node.pid}: window has {rows} rows, weights expect {self.weights.n}")
-        self.duration = config.duration_s or max(n.series.duration for n in self.nodes)
+        ends = [float(n.series.t[-1]) + 1.0 / n.series.rate for n in self.nodes if len(n.series)]
+        self.duration = config.duration_s or max(ends, default=0.0)
         self.heap: list[tuple[float, int, str, _Node, object]] = []  # seq breaks ties
         self.seq = itertools.count()
         self.records = 0

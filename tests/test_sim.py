@@ -232,6 +232,19 @@ class TestOneDetectionPath:
         assert len(detected) == 2
         assert records_of(lines, "eating_event") == detected
 
+    @pytest.mark.parametrize("shift", [0.0, 1000.0])
+    def test_run_covers_a_trace_with_a_dropout_or_a_late_start(self, shift):
+        # samples from 0 to 200 s and from 500 to 800 s, six gestures in each part, all moved by shift
+        gestures = [60.0 + 15.0 * i for i in range(6)] + [600.0 + 15.0 * i for i in range(6)]
+        series = synth.gesture_trace(np.random.default_rng(5), gestures, duration=800.0)
+        keep = (series.t < 200.0) | (series.t >= 500.0)
+        series = AccelSeries(series.rate, series.t[keep] + shift, series.xyz[keep])
+        spec = sim.ParticipantSpec(participant=ema.Participant("p1", "h1", ema.Role.MOTHER, (0.0, 24.0)), series=series)
+        _, lines, _ = run_to_lines(sim.HomeConfig(home_id="h1", participants=(spec,), duty=None, start_hour=11.8))
+        times, _ = metrics.detect_gesture_times(series, DetectorConfig())
+        assert len(times) == 12
+        assert [g["t_ms"] for g in records_of(lines, "gesture")] == [traceio.ms(t) for t in times]
+
 
 class TestUploadedData:
     """The base station only reads what the watch has uploaded."""
