@@ -132,6 +132,58 @@ def test_rate_limit_property_over_random_sequences():
             assert CLOCK.in_window(p, at), f"seed {seed}"
 
 
+def _dispatch_steps(rng, start_hour, hours=40):
+    """Time-ordered ("hour", t) ticks at local hour starts, placed as
+    ``sim.run`` places them, and ("eating", at) dispatch times drawn on, and
+    1 s either side of, hour starts and between them; a tie goes either way."""
+    first = -(start_hour * 3600.0) % 3600.0
+    starts = [first + k * 3600.0 for k in range(hours)]
+    steps = [(t, float(rng.random()), "hour") for t in starts]
+    for t in starts:
+        for offset in (-1.0, 0.0, 1.0):
+            if rng.random() < 0.3:
+                steps.append((t + offset, float(rng.random()), "eating"))
+    for at in rng.uniform(0.0, starts[-1], size=int(rng.integers(hours, 3 * hours))):
+        steps.append((float(at), float(rng.random()), "eating"))
+    return [(kind, t) for t, _, kind in sorted(steps)]
+
+
+EVENT = event_at(hm(12))  # the dispatch rules do not read the event
+
+
+def test_dispatch_equals_gap_and_window_reference():
+    # two rules decide every EMA: the 3600 s gap since the last one sent, then
+    # the participation window; the reference also keeps the clock hours of
+    # its eating EMAs, to show that such a record never refuses what the gap allows
+    rng = np.random.default_rng(27)
+    for run in range(300):
+        start_hour = float(rng.choice([0.0, 0.5, 11.5, 11.8, rng.uniform(0.0, 24.0)]))
+        clock = LocalClock(start_hour)
+        lo = float(rng.choice([0.0, 6.0, 6.5, 11.8, rng.integers(0, 12)]))
+        p = participant(window=(lo, float(rng.choice([24.0, 22.0, 20.5, rng.integers(13, 25)]))))
+        state, last, eating_hours = ScheduleState(), -np.inf, set()
+        for kind, t in _dispatch_steps(rng, start_hour):
+            now = t - ema.EATING_EMA_DELAY
+            at = now + ema.EATING_EMA_DELAY if kind == "eating" else t
+            hour = np.floor((start_hour * 3600.0 + at) / 3600.0)
+            if hour in eating_hours:
+                assert at - last < ema.EMA_MIN_GAP, (run, kind, t)
+            if at - last < ema.EMA_MIN_GAP:
+                expected = Suppressed(SuppressReason.RATE_LIMITED)
+            elif not lo <= (start_hour + at / 3600.0) % 24.0 < p.window[1]:
+                expected = Suppressed(SuppressReason.OUTSIDE_WINDOW)
+            else:
+                expected, last = (SendEatingEma if kind == "eating" else SendMoodEma)(at), at
+                if kind == "eating":
+                    eating_hours.add(hour)
+            if kind == "eating":
+                assert on_event_detected(p, EVENT, now, state, clock) == expected, (run, t)
+            else:  # only the reason of a suppressed mood EMA is free
+                out = hourly_tick(p, t, state, clock)
+                assert out == expected if isinstance(expected, SendMoodEma) else isinstance(out, Suppressed), (run, t)
+            assert state.last_sent_t == last, (run, kind, t)
+
+
 def eating_survey(pid="p1", sent=hm(12, 19)):
     return EmaSurvey("s1", pid, SurveyKind.EATING, sent, "event:e1", event=event_at(sent - 240.0))
 
