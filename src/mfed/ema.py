@@ -1,13 +1,14 @@
 """EMA scheduling, survey flows, and ground-truth resolution.
 
-Scheduling rules:
-  - An eating EMA dispatches 240 s after its event is detected.
-  - No participant gets two EMAs (of any kind) less than 3600 s apart,
-    and at most one eating EMA dispatches per clock hour (first event
-    wins); later events in the hour are suppressed, never retried.
-  - Nothing is sent outside the participant's participation window
-    (start hour inclusive, end hour exclusive, local clock).
-  - Mood EMAs go out on the hour when the hour saw no eating EMA.
+Scheduling: an eating EMA is due 240 s after its event is detected, a
+mood EMA at the start of each local clock hour. One rule dispatches both:
+an EMA due less than 3600 s after the participant's last one is suppressed
+as ``rate_limited``, and otherwise one due outside the participation window
+(start hour inclusive, end hour exclusive, local clock) as
+``outside_window``. A suppressed EMA is never retried. Two EMAs due in
+one clock hour lie less than 3600 s apart, so an hour carries at most one:
+at most one eating EMA (the first event wins), and no mood EMA in an hour
+that carried an eating one.
 
 Survey flows walk one question graph, ``_GRAPH``, a table from (stage,
 answer) to the next stage. An eating EMA asks for confirmation, then
@@ -28,7 +29,7 @@ flag a missed detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields, real
@@ -73,7 +74,6 @@ class EmaSurvey:
     id: str
     participant_id: str
     kind: SurveyKind
-    sent_t: float
     trigger: str  # "event:<id>" or "hourly"
     event: EatingEvent | None = None
 
@@ -114,27 +114,19 @@ class LocalClock:
     def __init__(self, start_hour: float = 0.0):
         self.start_hour = start_hour
 
-    def hour_of_day(self, t: float) -> float:
-        return (self.start_hour + t / 3600.0) % 24.0
-
-    def hour_index(self, t: float) -> int:
-        return math.floor((self.start_hour * 3600.0 + t) / 3600.0)
-
     def in_window(self, participant: Participant, t: float) -> bool:
         lo, hi = participant.window
-        return lo <= self.hour_of_day(t) < hi
+        return lo <= (self.start_hour + t / 3600.0) % 24.0 < hi
 
 
 class SuppressReason(Enum):
     RATE_LIMITED = "rate_limited"
     OUTSIDE_WINDOW = "outside_window"
-    EATING_EMA_SENT_THIS_HOUR = "eating_ema_sent_this_hour"
 
 
 @dataclass
 class ScheduleState:
     last_sent_t: float = -math.inf
-    eating_ema_hours: set[int] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -152,6 +144,16 @@ class Suppressed:
     reason: SuppressReason
 
 
+def _dispatch(participant: Participant, at: float, state: ScheduleState, clock: LocalClock, send):
+    """``send(at)`` if ``at`` keeps the gap and lies in the window, else the reason it does not."""
+    if at - state.last_sent_t < EMA_MIN_GAP:
+        return Suppressed(SuppressReason.RATE_LIMITED)
+    if not clock.in_window(participant, at):
+        return Suppressed(SuppressReason.OUTSIDE_WINDOW)
+    state.last_sent_t = at
+    return send(at)
+
+
 def on_event_detected(
     participant: Participant,
     event: EatingEvent,
@@ -160,15 +162,7 @@ def on_event_detected(
     clock: LocalClock,
 ) -> SendEatingEma | Suppressed:
     """Schedule the eating EMA for a freshly detected event, or suppress it."""
-    at = now + EATING_EMA_DELAY
-    hour = clock.hour_index(at)
-    if at - state.last_sent_t < EMA_MIN_GAP or hour in state.eating_ema_hours:
-        return Suppressed(SuppressReason.RATE_LIMITED)
-    if not clock.in_window(participant, at):
-        return Suppressed(SuppressReason.OUTSIDE_WINDOW)
-    state.last_sent_t = at
-    state.eating_ema_hours.add(hour)
-    return SendEatingEma(at)
+    return _dispatch(participant, now + EATING_EMA_DELAY, state, clock, SendEatingEma)
 
 
 def hourly_tick(
@@ -177,15 +171,8 @@ def hourly_tick(
     state: ScheduleState,
     clock: LocalClock,
 ) -> SendMoodEma | Suppressed:
-    """Send the hourly mood EMA unless the hour already carried an eating EMA."""
-    if clock.hour_index(hour_start) in state.eating_ema_hours:
-        return Suppressed(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
-    if not clock.in_window(participant, hour_start):
-        return Suppressed(SuppressReason.OUTSIDE_WINDOW)
-    if hour_start - state.last_sent_t < EMA_MIN_GAP:
-        return Suppressed(SuppressReason.RATE_LIMITED)
-    state.last_sent_t = hour_start
-    return SendMoodEma(hour_start)
+    """Send the hourly mood EMA, or suppress it."""
+    return _dispatch(participant, hour_start, state, clock, SendMoodEma)
 
 
 # ---------------------------------------------------------------------------

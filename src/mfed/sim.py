@@ -239,7 +239,7 @@ class HomeSimulation:
         heapq.heappush(self.heap, (t, next(self.seq), kind, node, payload))
 
     def _send(self, node: _Node, kind: ema.SurveyKind, at: float, trigger: str, event=None):
-        survey = ema.EmaSurvey(f"{node.pid}-{next(node.survey_seq)}", node.pid, kind, at, trigger, event)
+        survey = ema.EmaSurvey(f"{node.pid}-{next(node.survey_seq)}", node.pid, kind, trigger, event)
         self._push(at, "ema_send", node, survey)
 
     # -- event handlers ----------------------------------------------------

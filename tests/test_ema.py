@@ -87,7 +87,7 @@ class TestHourlyTick:
         state = ScheduleState()
         on_event_detected(p, event_at(hm(12, 15)), hm(12, 15), state, CLOCK)
         out = hourly_tick(p, hm(12), state, CLOCK)
-        assert out == Suppressed(SuppressReason.EATING_EMA_SENT_THIS_HOUR)
+        assert out == Suppressed(SuppressReason.RATE_LIMITED)
 
     def test_outside_window_skips(self):
         p = participant()
@@ -184,12 +184,12 @@ def test_dispatch_equals_gap_and_window_reference():
             assert state.last_sent_t == last, (run, kind, t)
 
 
-def eating_survey(pid="p1", sent=hm(12, 19)):
-    return EmaSurvey("s1", pid, SurveyKind.EATING, sent, "event:e1", event=event_at(sent - 240.0))
+def eating_survey(pid="p1"):
+    return EmaSurvey("s1", pid, SurveyKind.EATING, "event:e1", event=event_at(hm(12, 15)))
 
 
-def mood_survey(pid="p1", sent=hm(10)):
-    return EmaSurvey("s2", pid, SurveyKind.MOOD, sent, "hourly")
+def mood_survey(pid="p1"):
+    return EmaSurvey("s2", pid, SurveyKind.MOOD, "hourly")
 
 
 def battery(**kw):
