@@ -188,8 +188,8 @@ def _relu(z: np.ndarray) -> np.ndarray:
 
 def _forward_pass(w: ModelWeights, x: np.ndarray, cache: dict | None = None) -> list[float]:
     """Probabilities for a ``(B, n, 3)`` batch of windows. Given a
-    ``cache`` dict, also stores there the activations and pool winners the
-    backward pass reads; inference passes none and computes neither."""
+    ``cache`` dict, also stores there the activations the backward pass
+    reads, among them each pool's input; inference passes none."""
     x3 = x[..., None]
     a1 = _relu(kernels.conv2d(x3, w.conv1_w, w.conv1_b))
     p1 = kernels.maxpool2(a1)
@@ -200,8 +200,7 @@ def _forward_pass(w: ModelWeights, x: np.ndarray, cache: dict | None = None) -> 
     a4 = _relu(a3 @ w.dense2_w + w.dense2_b)
     z5 = (a4 @ w.out_w)[:, 0] + w.out_b[0]
     if cache is not None:
-        cache.update(x3=x3, h1=a1.shape[-3], i1=kernels.maxpool2_winners(a1), p1=p1, h2=a2.shape[-3],
-                     i2=kernels.maxpool2_winners(a2), p2=p2, flat=flat, a3=a3, a4=a4)
+        cache.update(x3=x3, a1=a1, p1=p1, a2=a2, p2=p2, flat=flat, a3=a3, a4=a4)
     return [_sigmoid(z) for z in z5.tolist()]
 
 
@@ -221,10 +220,10 @@ def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, n
     # value, and a loser's gradient is +0.0 either way
     dp2 = (dz3 @ w.dense1_w.T).reshape(cache["p2"].shape)
     dp2 *= cache["p2"] > 0
-    dz2 = kernels.maxpool2_backward(dp2, cache["i2"], cache["h2"])
+    dz2 = kernels.maxpool2_backward(cache["a2"], dp2)
     dp1, grads["conv2_w"], grads["conv2_b"] = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2, input_grad=True)
     dp1 *= cache["p1"] > 0
-    dz1 = kernels.maxpool2_backward(dp1, cache["i1"], cache["h1"])
+    dz1 = kernels.maxpool2_backward(cache["a1"], dp1)
     _, grads["conv1_w"], grads["conv1_b"] = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1, input_grad=False)
     return grads
 

@@ -32,8 +32,9 @@ Conventions:
     row of a pair wins only when strictly greater, so ties keep the earlier
     row, matching ``np.argmax`` on NaN-free input
   - ``maxpool2`` returns the pooled values only, which is all inference
-    needs; training takes the winners from ``maxpool2_winners`` (int64 1
-    where the later row won) and hands them to ``maxpool2_backward``
+    needs; ``maxpool2_backward`` takes the pool's input, as
+    ``conv2d_backward`` does, and finds each pair's winner there again, so
+    only training compares the rows
   - the pools select without ``np.where``: on a batch of 4 conv1 outputs
     (19k pooled elements, past numpy's 8192-element buffer) it took about
     7 ns an element, four times ``np.maximum`` on the same strided views
@@ -188,19 +189,16 @@ def maxpool2(x):
     return np.maximum(bottom, top)
 
 
-def maxpool2_winners(x):
-    """int64 1 where the later row of a pair won ``maxpool2``, else 0."""
+def maxpool2_backward(x, dout):
+    """The gradient at the pool's input ``x``: the row of each pair that won
+    ``maxpool2`` gets ``dout``, the other row and an odd last row +0.0."""
     top, bottom = _row_pairs(x)
-    return (bottom > top).astype(np.int64)
-
-
-def maxpool2_backward(dout, arg, h):
-    dx = np.zeros(dout.shape[:-3] + (h,) + dout.shape[-2:])
-    h2 = h // 2
+    arg = (bottom > top).astype(np.int64)
+    dx = np.zeros(x.shape)
     # a bit-select on the int64 views: arg - 1 is all ones where the earlier
     # row won and -arg where the later one did, so a winner gets dout's exact
     # bits (-0.0 too) and a loser +0.0
-    bits, dx_bits = dout.view(np.int64), dx.view(np.int64)
-    np.bitwise_and(bits, arg - 1, out=dx_bits[..., 0 : 2 * h2 : 2, :, :])
-    np.bitwise_and(bits, -arg, out=dx_bits[..., 1 : 2 * h2 : 2, :, :])
+    bits, (dx_top, dx_bottom) = dout.view(np.int64), _row_pairs(dx.view(np.int64))
+    np.bitwise_and(bits, arg - 1, out=dx_top)
+    np.bitwise_and(bits, -arg, out=dx_bottom)
     return dx

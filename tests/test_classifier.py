@@ -134,18 +134,26 @@ def _signed_zero_ties(h, w, c, top):
     return x, dout
 
 
+def _distinct(shape):
+    """1, 2, 3, ... in ``shape``: a gradient whose routing shows, unlike ±0.0."""
+    return np.arange(1.0, math.prod(shape) + 1.0).reshape(shape)
+
+
 class TestMaxPool:
     def test_ties_break_toward_earlier_row(self):
         rng = np.random.default_rng(3)
         n_ties = 0
         for h in range(2, 22):
             x = rng.integers(-3, 4, size=(h, 2, 5)).astype(float)  # integer grid forces ties
-            out, arg = kernels.maxpool2(x), kernels.maxpool2_winners(x)
+            out = kernels.maxpool2(x)
+            dout = _distinct(out.shape)
+            dx = kernels.maxpool2_backward(x, dout)
             top, bottom = x[0 : 2 * (h // 2) : 2], x[1 : 2 * (h // 2) : 2]
-            ties = top == bottom
+            dx_top, dx_bottom = dx[0 : 2 * (h // 2) : 2], dx[1 : 2 * (h // 2) : 2]
+            ties, later = top == bottom, bottom > top
             n_ties += ties.sum()
-            assert np.all(arg[ties] == 0)
-            assert np.all(arg[bottom > top] == 1)
+            assert np.array_equal(dx_top[ties], dout[ties]) and np.all(dx_bottom[ties] == 0)
+            assert np.array_equal(dx_bottom[later], dout[later]) and np.all(dx_top[later] == 0)
             assert np.array_equal(out, np.maximum(top, bottom))
         assert n_ties > 0
 
@@ -153,11 +161,11 @@ class TestMaxPool:
         rng = np.random.default_rng(4)
         for h in range(2, 22):
             x = rng.integers(-3, 4, size=(h, 2, 5)).astype(float)
-            out, arg = kernels.maxpool2(x), kernels.maxpool2_winners(x)
-            dout = rng.normal(size=out.shape)
-            dx = kernels.maxpool2_backward(dout, arg, h)
+            _, arg = _maxpool2_argmax(x)
+            dout = rng.normal(size=arg.shape)
+            dx = kernels.maxpool2_backward(x, dout)
             expected = np.zeros_like(x)
-            for i, j, c in np.ndindex(*out.shape):
+            for i, j, c in np.ndindex(*arg.shape):
                 expected[2 * i + arg[i, j, c], j, c] = dout[i, j, c]
             assert np.array_equal(dx, expected)
 
@@ -175,13 +183,13 @@ class TestMaxPool:
     def test_matches_argmax_form_bit_for_bit(self, case):
         x, dout = case
         h = x.shape[0]
-        out, arg = kernels.maxpool2(x), kernels.maxpool2_winners(x)
+        out = kernels.maxpool2(x)
         out_ref, arg_ref = _maxpool2_argmax(x)
-        assert out.dtype == out_ref.dtype and arg.dtype == arg_ref.dtype
+        assert out.dtype == out_ref.dtype
         assert out.tobytes() == out_ref.tobytes()
-        assert arg.tobytes() == arg_ref.tobytes()
-        dx = kernels.maxpool2_backward(dout, arg, h)
-        assert dx.tobytes() == _maxpool2_backward_put(dout, arg_ref, h).tobytes()
+        for grad in (dout, _distinct(dout.shape)):
+            dx = kernels.maxpool2_backward(x, grad)
+            assert dx.tobytes() == _maxpool2_backward_put(grad, arg_ref, h).tobytes()
 
 
 def _maxpool2_argmax(x):
@@ -274,16 +282,19 @@ class TestForward:
         xs = rng.normal(size=(b, n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
         cache = {}
         assert C._forward_pass(w, xs) == C._forward_pass(w, xs, cache)
-        assert {"i1", "i2", "p1", "p2", "flat", "a3", "a4"} <= cache.keys()
+        assert {"a1", "a2", "p1", "p2", "flat", "a3", "a4"} <= cache.keys()
         for x in xs:
             assert C.forward(w, x) == C._forward_pass(w, x[None], {})[0]
 
     def test_inference_computes_no_pool_winners(self, monkeypatch):
-        def winners(x):
-            raise AssertionError("inference read the pool winners")
+        def backward(x, dout):
+            raise AssertionError("the pass computed the pool winners")
 
-        monkeypatch.setattr(kernels, "maxpool2_winners", winners)
-        C.forward(small_weights(), np.random.default_rng(1).normal(size=(10, 3)))
+        monkeypatch.setattr(kernels, "maxpool2_backward", backward)
+        w, rng = small_weights(), np.random.default_rng(1)
+        C.forward(w, rng.normal(size=(10, 3)))
+        with pytest.raises(AssertionError, match="pool winners"):  # training does
+            C.loss_and_grads(w, rng.normal(size=(10, 3)), 1.0)
 
     def test_row_count_mismatch(self):
         w = small_weights()
