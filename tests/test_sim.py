@@ -576,6 +576,25 @@ class TestLogLayout:
             assert r["fact"] == ("was_eating" if ate else "was_not_eating")
         assert [r["fact"] for r in records] == ["was_not_eating", "was_eating"]
 
+    def test_untruthful_responder_answers_at_random(self):
+        # without annotations a truthful responder denies every meal and every
+        # hour; an untruthful one confirms and denies both. The first tick is
+        # outside the window and each meal's EMA is due 60 s later in its hour
+        # than the last, so three eating EMAs go out before the mood EMAs resume
+        meals = [1800.0 + 3660.0 * k for k in range(3)]
+        series = synth.gesture_trace(
+            np.random.default_rng(5), [m + 15.0 * i for m in meals for i in range(4)], duration=8 * 3600.0
+        )
+        spec = sim.ParticipantSpec(
+            participant=ema.Participant("p1", "h1", ema.Role.MOTHER, (0.25, 24.0)),
+            series=series,
+            responder=sim.ResponderProfile(truthful=False),
+        )
+        _, lines, _ = run_to_lines(sim.HomeConfig(home_id="h1", participants=(spec,), duty=None, seed=0))
+        responses = records_of(lines, "ema_response")
+        assert [r["eating_confirmed"] for r in responses if r["ema"] == "eating"] == [True, True, False]
+        assert [r["ate_last_hour"] for r in responses if r["ema"] == "mood"] == [False, False, True, True]
+
 
 def _readme_home_config() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
