@@ -301,6 +301,10 @@ class TestForward:
         with pytest.raises(ShapeError):
             C.forward(w, np.zeros((12, 3)))
 
+    def test_window_of_two_channels_rejected(self):
+        with pytest.raises(ShapeError, match=r"^window must be \(n, 3\), got \(10, 2\)$"):
+            C.forward(small_weights(), np.zeros((10, 2)))
+
     def test_too_short_window_rejected(self):
         with pytest.raises(ShapeError):
             C.flatten_dim(6)
@@ -452,6 +456,12 @@ class TestTrain:
             C.LabeledWindow(d.window, Label.AMBIGUOUS, d.source) for d in _labeled(rng, 6)
         ]
         with pytest.raises(InsufficientData):
+            C.train(data, C.TrainConfig(epochs=1))
+
+    def test_mixed_window_lengths_rejected(self):
+        rng = np.random.default_rng(9)
+        data = _labeled(rng, 4) + _labeled(rng, 2, n=17)
+        with pytest.raises(ShapeError, match=r"^mixed window lengths 16 and 17$"):
             C.train(data, C.TrainConfig(epochs=1))
 
     def test_learns_separable_data(self):
@@ -781,6 +791,12 @@ class TestWeightsFile:
         path = tmp_path / "w.npz"
         _write_archive(path, members)
         with pytest.raises(FormatError):
+            C.load_weights(str(path))
+
+    def test_window_too_short_for_the_network(self, tmp_path):
+        path = tmp_path / "w.npz"
+        _write_archive(path, {**_members(small_weights(7)), "n": 6})
+        with pytest.raises(FormatError, match=r"^input of 6 rows collapses before the second pool \(need >= 7\)$"):
             C.load_weights(str(path))
 
     def test_empty_file(self, tmp_path):

@@ -293,6 +293,28 @@ def test_bool_or_non_number_is_an_invalid_answer(kind, answer):
         flow_step(state, answer)
 
 
+@pytest.mark.parametrize(
+    "stage, answer, message",
+    [
+        (Stage.ASK_MOOD_ITEMS, MoodItems((1, 2, 3), ate_last_hour=True), "mood takes 8 items, got 3"),
+        (Stage.ASK_EATING_BATTERY, battery(eah=(1,) * 15), "the eating survey takes 16 items, got 15"),
+        (Stage.ASK_WHAT_DOING, NotEatingActivity(frozenset({"napping", "other"})), "unknown activities ['napping']"),
+        (Stage.ASK_WHAT_DOING, NotEatingActivity(frozenset()), "select at least one activity"),
+        (
+            Stage.ASK_EATING_BATTERY,
+            battery(eating_type="brunch"),
+            "eating type must be one of ('meal', 'snack', 'drink', 'undefined'), got 'brunch'",
+        ),
+    ],
+    ids=["mood-count", "eah-count", "unknown-activity", "no-activity", "unknown-eating-type"],
+)
+def test_out_of_range_answer_names_its_fault(stage, answer, message):
+    survey = mood_survey() if stage is Stage.ASK_MOOD_ITEMS else eating_survey()
+    with pytest.raises(InvalidAnswer) as e:
+        flow_step(replace(new_flow(survey), stage=stage), answer)
+    assert str(e.value) == message
+
+
 ANSWER_ALPHABET = [
     True,
     False,

@@ -168,6 +168,10 @@ class TestStreamDetector:
         with pytest.raises(ClockRegression):
             det.advance(9.0)
 
+    def test_gesture_ahead_of_now(self):
+        with pytest.raises(ClockRegression, match=r"^gesture at 10.0 delivered before now=9.5$"):
+            StreamDetector().observe(10.0, 9.5)
+
     def test_agrees_with_batch_on_random_streams(self):
         rng = np.random.default_rng(1)
         for _ in range(300):

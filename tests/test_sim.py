@@ -757,3 +757,6 @@ class TestConfigValidation:
         path.write_text("{\"home_id\": \"h\"}")
         with pytest.raises(ConfigError):
             sim.load_home_config(str(path))
+        path.write_text("{\"home_id\": \"h\",}")
+        with pytest.raises(ConfigError, match=r"^config is not valid JSON: Expecting property name .*: line 1 column 17 \(char 16\)$"):
+            sim.load_home_config(str(path))

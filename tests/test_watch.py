@@ -74,6 +74,10 @@ class TestOnPoi:
         with pytest.raises(ClockRegression):
             on_poi(state, 5.0, POLICY, 5.0)
 
+    def test_poi_ahead_of_now(self):
+        with pytest.raises(ClockRegression, match=r"^poi at 10.0 is ahead of now=9.5$"):
+            on_poi(WatchState(series()), 10.0, POLICY, 9.5)
+
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             on_poi(WatchState(series()), 0.0, UploadPolicy(quorum=0), 0.0)
