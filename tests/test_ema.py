@@ -184,12 +184,12 @@ def test_dispatch_equals_gap_and_window_reference():
             assert state.last_sent_t == last, (run, kind, t)
 
 
-def eating_survey(pid="p1"):
-    return EmaSurvey("s1", pid, SurveyKind.EATING, "event:e1", event=event_at(hm(12, 15)))
+def eating_survey():
+    return EmaSurvey("s1", "p1", SurveyKind.EATING, "event:e1", event=event_at(hm(12, 15)))
 
 
-def mood_survey(pid="p1"):
-    return EmaSurvey("s2", pid, SurveyKind.MOOD, "hourly")
+def mood_survey():
+    return EmaSurvey("s2", "p1", SurveyKind.MOOD, "hourly")
 
 
 def battery(**kw):
