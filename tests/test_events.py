@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -231,3 +231,55 @@ def test_late_delivery_agrees_with_batch(steps):
     assert [ev.gesture_times for ev in detected] == [
         ev.clusters[0].times[:3] for ev in finalized
     ]
+
+
+# gaps in 5 s grid steps: often inside a cluster (at most 12 steps, 60 s),
+# often at MERGE_GAP (48 steps) or one step past it or past CLUSTER_GAP
+GRID_GAP = st.one_of(st.integers(0, 12), st.sampled_from([13, 48, 49]), st.integers(0, 80))
+
+
+@given(
+    st.lists(
+        st.tuples(GRID_GAP, st.integers(0, 60), st.lists(st.integers(0, 300), max_size=3)),
+        max_size=16,
+    ),
+    st.lists(st.integers(0, 400), max_size=4),
+)
+# two clusters exactly MERGE_GAP apart, advanced to 1 s short of the horizon
+@example([(0, 0, []), (1, 0, []), (1, 0, []), (48, 0, [239]), (1, 0, []), (1, 0, [])], [])
+@settings(max_examples=400, deadline=None)
+def test_stream_with_advances_matches_oracle(steps, tail):
+    # gestures on a 5 s grid, each observed at a non-decreasing now at or after
+    # its own time; every advance call lies below the next unobserved gesture,
+    # the condition under which the finalized events are the batch rule's
+    det = StreamDetector("p")
+    times, delivered, calls, t, now = [], [], [], 0.0, 0.0
+
+    def record(emissions):
+        calls.extend((now, e) for e in emissions)
+
+    for gap, delay, advances in steps:
+        t += 5.0 * gap
+        for step in advances:
+            if now + step >= t:
+                break
+            now += step
+            record(det.advance(now))
+        now = max(now, t + 5.0 * delay)
+        times.append(t)
+        delivered.append(now)
+        record(det.observe(t, now))
+    for step in tail:
+        now += step
+        record(det.advance(now))
+    record(det.finish(now))
+
+    assert all(e.t == call_now for call_now, e in calls)
+    detected = [e for _, e in calls if isinstance(e, EventDetected)]
+    finalized = [e.event for _, e in calls if isinstance(e, EventFinalized)]
+    assert as_tuples(finalized) == oracles.events_oracle(times)
+    assert len(detected) == len(finalized)
+    for d, ev in zip(detected, finalized):
+        first = ev.clusters[0].times
+        assert d.event.gesture_times == first[:3]
+        assert d.t == delivered[times.index(first[0]) + 2]
