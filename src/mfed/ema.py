@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields, real
-from .events import EatingEvent, split_at_gaps
+from .events import EatingEvent
 
 EMA_MIN_GAP = 3600.0  # s between any two EMAs to one participant
 EATING_EMA_DELAY = 240.0  # s between detection and dispatch
@@ -370,6 +370,18 @@ _MENTION_ROLES = {
     "sisters": dict.fromkeys(_CHILDREN, (Role.DAUGHTER,)),
     "brothers": dict.fromkeys(_CHILDREN, (Role.SON,)),
 }
+
+
+def split_at_gaps(times, gap: float) -> list[tuple[int, int]]:
+    """``(start, stop)`` index spans of the runs of sorted ``times`` in which
+    each time follows its predecessor by at most ``gap``."""
+    spans: list[tuple[int, int]] = []
+    start = 0
+    for i in range(1, len(times) + 1):
+        if i == len(times) or times[i] - times[i - 1] > gap:
+            spans.append((start, i))
+            start = i
+    return spans
 
 
 def resolve_collaborative_gt(

@@ -4,14 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mfed.ema import split_at_gaps
 from mfed.errors import ClockRegression
-from mfed.events import (
-    EventDetected,
-    EventFinalized,
-    StreamDetector,
-    detect_events,
-    split_at_gaps,
-)
+from mfed.events import EventDetected, EventFinalized, StreamDetector, detect_events
 
 MIN = 60.0
 
