@@ -5,10 +5,12 @@ mood EMA at the start of each local clock hour. One rule dispatches both:
 an EMA due less than 3600 s after the participant's last one is suppressed
 as ``rate_limited``, and otherwise one due outside the participation window
 (start hour inclusive, end hour exclusive, local clock) as
-``outside_window``. A suppressed EMA is never retried. Two EMAs due in
-one clock hour lie less than 3600 s apart, so an hour carries at most one:
-at most one eating EMA (the first event wins), and no mood EMA in an hour
-that carried an eating one.
+``outside_window``. Both are compared in whole milliseconds of the virtual
+clock, the log's resolution, so float error in an hour start cannot move
+an EMA across either bound. A suppressed EMA is never retried. Two EMAs
+due in one clock hour lie less than 3600 s apart, so an hour carries at
+most one: at most one eating EMA (the first event wins), and no mood EMA
+in an hour that carried an eating one.
 
 Survey flows walk one question graph, ``_GRAPH``, a table from (stage,
 answer) to the next stage. An eating EMA asks for confirmation, then
@@ -34,6 +36,7 @@ from enum import Enum
 
 from .errors import ConfigError, InvalidAnswer, InvalidTransition, UnknownHome, check_fields, real
 from .events import EatingEvent
+from .traceio import ms
 
 EMA_MIN_GAP = 3600.0  # s between any two EMAs to one participant
 EATING_EMA_DELAY = 240.0  # s between detection and dispatch
@@ -116,7 +119,8 @@ class LocalClock:
 
     def in_window(self, participant: Participant, t: float) -> bool:
         lo, hi = participant.window
-        return lo <= (self.start_hour + t / 3600.0) % 24.0 < hi
+        day_ms = round(self.start_hour * 3.6e6 + t * 1000) % 86_400_000
+        return lo * 3.6e6 <= day_ms < hi * 3.6e6
 
 
 class SuppressReason(Enum):
@@ -146,7 +150,7 @@ class Suppressed:
 
 def _dispatch(participant: Participant, at: float, state: ScheduleState, clock: LocalClock, send):
     """``send(at)`` if ``at`` keeps the gap and lies in the window, else the reason it does not."""
-    if at - state.last_sent_t < EMA_MIN_GAP:
+    if state.last_sent_t > -math.inf and ms(at) - ms(state.last_sent_t) < ms(EMA_MIN_GAP):
         return Suppressed(SuppressReason.RATE_LIMITED)
     if not clock.in_window(participant, at):
         return Suppressed(SuppressReason.OUTSIDE_WINDOW)

@@ -394,10 +394,10 @@ class HomeSimulation:
                 if decided <= end:
                     self._push(decided, "poi", node, poi)
             first_hour = -(self.cfg.start_hour * 3600.0) % 3600.0
-            t = first_hour
-            while t <= end:
-                self._push(t, "hour", node)
-                t += 3600.0
+            k = 0
+            while first_hour + k * 3600.0 <= end:
+                self._push(first_hour + k * 3600.0, "hour", node)
+                k += 1
 
         while self.heap:
             t, _, kind, node, payload = heapq.heappop(self.heap)

@@ -153,8 +153,9 @@ EVENT = event_at(hm(12))  # the dispatch rules do not read the event
 
 def test_dispatch_equals_gap_and_window_reference():
     # two rules decide every EMA: the 3600 s gap since the last one sent, then
-    # the participation window; the reference also keeps the clock hours of
-    # its eating EMAs, to show that such a record never refuses what the gap allows
+    # the participation window, both in whole milliseconds of the virtual
+    # clock; the reference also keeps the clock hours of its eating EMAs, to
+    # show that such a record never refuses what the gap allows
     rng = np.random.default_rng(27)
     for run in range(300):
         start_hour = float(rng.choice([0.0, 0.5, 11.5, 11.8, rng.uniform(0.0, 24.0)]))
@@ -165,12 +166,14 @@ def test_dispatch_equals_gap_and_window_reference():
         for kind, t in _dispatch_steps(rng, start_hour):
             now = t - ema.EATING_EMA_DELAY
             at = now + ema.EATING_EMA_DELAY if kind == "eating" else t
-            hour = np.floor((start_hour * 3600.0 + at) / 3600.0)
+            local_ms = round(start_hour * 3.6e6 + at * 1000)
+            hour = local_ms // 3_600_000
+            gap_kept = last == -np.inf or round(at * 1000) - round(last * 1000) >= 3_600_000
             if hour in eating_hours:
-                assert at - last < ema.EMA_MIN_GAP, (run, kind, t)
-            if at - last < ema.EMA_MIN_GAP:
+                assert not gap_kept, (run, kind, t)
+            if not gap_kept:
                 expected = Suppressed(SuppressReason.RATE_LIMITED)
-            elif not lo <= (start_hour + at / 3600.0) % 24.0 < p.window[1]:
+            elif not lo * 3.6e6 <= local_ms % 86_400_000 < p.window[1] * 3.6e6:
                 expected = Suppressed(SuppressReason.OUTSIDE_WINDOW)
             else:
                 expected, last = (SendEatingEma if kind == "eating" else SendMoodEma)(at), at

@@ -54,6 +54,26 @@ class TestFlatDay:
         assert hours == [float(h) for h in range(8, 20)]
         assert summary["events"] == 0
 
+    @pytest.mark.parametrize(
+        "start_ms, window, duration, hours",
+        [
+            # repeated 3600 s steps from 1832.623 s drift below a whole hour apart
+            (1_767_377, (0.0, 24.0), 86400.0, range(1, 25)),
+            # from 02:42:29.16 the 13:00 tick's local hour computes as 12.999999999999998
+            (9_749_160, (13.0, 22.0), 12 * 3600.0, range(13, 15)),
+            (9_749_160, (6.0, 13.0), 12 * 3600.0, range(6, 13)),
+        ],
+    )
+    def test_mood_emas_at_fractional_start_hours(self, start_ms, window, duration, hours):
+        # gaps and windows are compared in whole milliseconds, so every hour
+        # start inside the window sends its mood EMA
+        spec = flat_spec(window=window, duration=duration)
+        cfg = sim.HomeConfig(
+            home_id="h1", participants=(spec,), duty=None, seed=3, start_hour=start_ms / 3.6e6
+        )
+        sent = records_of(run_to_lines(cfg)[1], "ema_sent")
+        assert [(start_ms + r["t_ms"]) / 3_600_000 for r in sent] == [float(h) for h in hours]
+
 
 class TestDeterminism:
     def _config(self, seed=7):
