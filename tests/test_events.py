@@ -186,6 +186,18 @@ class TestStreamDetector:
         assert finalized == detect_events(times)
         assert len(finalized) == 1 and len(finalized[0].clusters) == 2
 
+    def test_late_gesture_after_finalize_starts_a_new_cluster(self):
+        # a gesture delivered after advance finalized its would-be event is
+        # not counted toward the closed event's last cluster
+        det = StreamDetector()
+        for t in (0.0, 10.0, 20.0):
+            det.observe(t, t)
+        assert [type(e) for e in det.advance(300.0)] == [EventFinalized]
+        assert det.observe(30.0, 300.0) == det.observe(40.0, 300.0) == []
+        out = det.observe(50.0, 300.0)
+        assert [e.event.gesture_times for e in out] == [(30.0, 40.0, 50.0)]
+        assert isinstance(out[0], EventDetected)
+
     def test_finish_flushes_open_event(self):
         det = StreamDetector("p")
         for t in (0.0, 20.0, 40.0):
