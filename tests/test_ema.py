@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfed import ema
@@ -12,10 +12,12 @@ from mfed.ema import (
     EmaResponse,
     EmaSurvey,
     Fact,
+    GroundTruthRecord,
     LocalClock,
     MoodItems,
     NotEatingActivity,
     Participant,
+    Provenance,
     Role,
     ScheduleState,
     SendEatingEma,
@@ -33,7 +35,7 @@ from mfed.ema import (
     resolve_hourly_gt,
 )
 from mfed.errors import InvalidAnswer, InvalidTransition, UnknownHome
-from mfed.events import detect_events
+from mfed.events import EatingEvent, GestureCluster, detect_events
 
 CLOCK = LocalClock(start_hour=0.0)
 
@@ -620,3 +622,133 @@ class TestHourlyGt:
         ev = detect_events([hm(13, 30), hm(13, 30) + 20, hm(13, 30) + 40], participant_id="p2")[0]
         records = resolve_hourly_gt([mood_response("s", "p1", hm(14), True)], [ev])
         assert records[0].missed_detection
+
+
+# (who-with option, reporter role) -> the roles the option can name
+KIN = {
+    ("spouse_partner", Role.MOTHER): {Role.FATHER},
+    ("spouse_partner", Role.FATHER): {Role.MOTHER},
+    ("children", Role.MOTHER): {Role.SON, Role.DAUGHTER},
+    ("children", Role.FATHER): {Role.SON, Role.DAUGHTER},
+    **{
+        (option, child): {role}
+        for option, role in (("mother", Role.MOTHER), ("father", Role.FATHER),
+                             ("sisters", Role.DAUGHTER), ("brothers", Role.SON))
+        for child in (Role.SON, Role.DAUGHTER)
+    },
+}
+
+
+def collaborative_reference(responses, roster):
+    """Each subject's mentions by a reporter of its own home that name it
+    alone, grouped by union-find wherever two lie within 900 s."""
+    mentions = {p.id: set() for p in roster}
+    own = {p.id: [] for p in roster}
+    for r in responses:
+        if r.kind is not SurveyKind.EATING or r.eating_confirmed is not True or r.event_t is None:
+            continue
+        reporter = next(p for p in roster if p.id == r.participant_id)
+        own[reporter.id].append((r.event_t, r.survey_id))
+        for option in r.who_with or ():
+            named = [p for p in roster if p.home_id == reporter.home_id and p.id != reporter.id
+                     and p.role in KIN.get((option, reporter.role), ())]
+            if len(named) == 1:
+                mentions[named[0].id].add((r.event_t, r.survey_id))
+    records = []
+    for subject in sorted(mentions):
+        items = sorted(mentions[subject])
+        root = list(range(len(items)))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for i, j in itertools.combinations(range(len(items)), 2):
+            if abs(items[j][0] - items[i][0]) <= 900.0:
+                root[find(j)] = find(i)
+        groups = {}
+        for i, item in enumerate(items):
+            groups.setdefault(find(i), []).append(item)
+        for group in sorted(groups.values()):
+            times = [t for t, _ in group]
+            lo, hi = max(min(times) - 900.0, 0.0), max(times) + 900.0
+            inside = [m for m in own[subject] if lo <= m[0] <= hi]
+            first = min(inside)[1] if inside else None
+            sources = tuple(sorted({s for _, s in group}))
+            records.append(GroundTruthRecord(subject, (lo, hi), Fact.WAS_EATING, Provenance(first, sources)))
+    return records
+
+
+def hourly_reference(responses, events):
+    """Each answered ate-last-hour question, checked against every event."""
+    records = []
+    for r in responses:
+        if r.kind is not SurveyKind.MOOD or r.ate_last_hour is None or r.t is None:
+            continue
+        lo, hi = max(r.t - 3600.0, 0.0), r.t
+        seen = any(ev.participant_id == r.participant_id and ev.start <= hi and ev.end >= lo for ev in events)
+        fact = Fact.WAS_EATING if r.ate_last_hour else Fact.WAS_NOT_EATING
+        records.append(GroundTruthRecord(r.participant_id, (lo, hi), fact, Provenance(first_person=r.survey_id),
+                                         missed_detection=r.ate_last_hour and not seen))
+    return records
+
+
+# times 900 s apart, each also shifted by 1 ms: gaps of exactly 900 s and of
+# 900.001 s both occur; mood answers also come an hour later
+GT_GRID = [i * 900.0 + j * 0.001 for i in range(3) for j in range(2)]
+MOOD_GRID = GT_GRID + [t + 3600.0 for t in GT_GRID]
+# every role but OTHER, family roles twice: rosters repeat roles often
+GT_ROLES = [Role.MOTHER, Role.FATHER, Role.SON, Role.DAUGHTER] * 2 + [Role.OTHER_FAMILY]
+
+
+@st.composite
+def gt_inputs(draw):
+    homes = draw(st.sampled_from([("h0",), ("h0", "h1")]))
+    roster = [
+        Participant(f"p{i}", draw(st.sampled_from(homes)), draw(st.sampled_from(GT_ROLES)))
+        for i in range(draw(st.integers(2, 4)))
+    ]
+    ids = [p.id for p in roster]
+    responses = []
+    for i in range(draw(st.integers(0, 8))):
+        reporter = draw(st.sampled_from(roster))
+        t = draw(st.sampled_from(GT_GRID + [None]))
+        # any options, plus some that can name a housemate of this reporter
+        naming = sorted({option for option, role in KIN if role is reporter.role})
+        who = draw(st.frozensets(st.sampled_from(sorted(ema.WHO_WITH_OPTIONS)), max_size=2))
+        if naming:
+            who |= draw(st.frozensets(st.sampled_from(naming), max_size=2))
+        responses.append(EmaResponse(
+            f"e{i}", reporter.id, SurveyKind.EATING, t=None if t is None else t + 500.0, event_t=t,
+            eating_confirmed=draw(st.sampled_from([True, True, True, False, None])),
+            who_with=frozenset({"nobody"}) if "nobody" in who else who or None,
+        ))
+    for i in range(draw(st.integers(0, 6))):
+        t = draw(st.sampled_from(MOOD_GRID + [None]))
+        ate = draw(st.sampled_from([True, False, None]))
+        responses.append(EmaResponse(f"m{i}", draw(st.sampled_from(ids)), SurveyKind.MOOD, t=t, mood=(1,) * 8,
+                                     ate_last_hour=ate))
+    responses = draw(st.permutations(responses))
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.sampled_from(GT_GRID))
+        end = start + draw(st.sampled_from([0.0, 900.0, 1800.0]))
+        events.append(EatingEvent((GestureCluster((start, end)),), draw(st.sampled_from(ids + [None]))))
+    return roster, responses, events
+
+
+# a mother mentions her husband twice exactly 900 s apart while a father
+# lives in another home, and her own event cannot answer for him
+@example((
+    [Participant("p0", "h0", Role.MOTHER), Participant("p1", "h0", Role.FATHER), Participant("p2", "h1", Role.FATHER)],
+    [confirmed("e0", "p0", 0.0, {"spouse_partner"}), confirmed("e1", "p0", 900.0, {"spouse_partner"}),
+     mood_response("m0", "p1", 3600.0, True)],
+    [EatingEvent((GestureCluster((0.0, 900.0)),), "p0")],
+))
+@given(gt_inputs())
+@settings(max_examples=400, deadline=None)
+def test_resolvers_equal_brute_force_references(inputs):
+    roster, responses, events = inputs
+    assert resolve_collaborative_gt(responses, roster) == collaborative_reference(responses, roster)
+    assert resolve_hourly_gt(responses, events) == hourly_reference(responses, events)
