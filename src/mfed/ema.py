@@ -22,11 +22,12 @@ the table raises InvalidTransition, an out-of-range answer InvalidAnswer.
 
 Ground truth: a confirmed eating EMA is first-person truth for its
 reporter. Who-with mentions that resolve to exactly one housemate create
-collaborative truth for that housemate within a 15-minute window, merged
-with the housemate's earliest own confirmed event inside it; ambiguous
-mentions (several matching housemates) create nothing. Hourly mood
-answers corroborate or, when no event was detected in the prior hour,
-flag a missed detection.
+collaborative truth for that housemate; a mention within 900 s of the
+previous one (inclusive) joins its record, whose window reaches 15 minutes
+either side and takes the housemate's earliest own confirmed event in it.
+Ambiguous mentions (several matching housemates) create nothing. Hourly
+mood answers corroborate or, when none of the answerer's own events was
+detected in the prior hour, flag a missed detection.
 """
 from __future__ import annotations
 
@@ -376,39 +377,23 @@ _MENTION_ROLES = {
 }
 
 
-def split_at_gaps(times, gap: float) -> list[tuple[int, int]]:
-    """``(start, stop)`` index spans of the runs of sorted ``times`` in which
-    each time follows its predecessor by at most ``gap``."""
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(times) + 1):
-        if i == len(times) or times[i] - times[i - 1] > gap:
-            spans.append((start, i))
-            start = i
-    return spans
-
-
 def resolve_collaborative_gt(
     responses: list[EmaResponse],
     roster: list[Participant],
 ) -> list[GroundTruthRecord]:
     """Turn who-with answers into eating ground truth for housemates.
 
-    A mention counts only when exactly one roster member of the home can
-    carry it. Mentions of one subject whose reporter event times chain
-    within ``COLLAB_WINDOW`` coalesce into a single record; a record whose
-    window covers the subject's own confirmed events takes the earliest
-    of them, by (time, survey id), as merged provenance. A window starts
-    no earlier than the run, at 0. The result is independent of the order
-    of ``responses``.
+    A mention counts only when exactly one other member of the reporter's
+    home can carry it. A subject's mentions chain, in reporter event time,
+    while each follows the previous by at most ``COLLAB_WINDOW``; a chain
+    makes one record, its window ``COLLAB_WINDOW`` either side (from 0 at
+    the earliest). A record whose window covers the subject's own confirmed
+    events takes the earliest, by (time, survey id), as merged provenance.
+    The result is independent of the order of ``responses``.
     """
     by_id = {p.id: p for p in roster}
-    by_home: dict[str, list[Participant]] = {}
-    for p in roster:
-        by_home.setdefault(p.home_id, []).append(p)
-
-    # subject -> [(reporter event time, source survey id)]
-    mentions: dict[str, list[tuple[float, str]]] = {}
+    # subject -> {(reporter event time, source survey id)}
+    mentions: dict[str, set[tuple[float, str]]] = {}
     confirmed_own: dict[str, list[tuple[float, str]]] = {}
     for resp in responses:
         if resp.kind is not SurveyKind.EATING or resp.eating_confirmed is not True:
@@ -421,33 +406,30 @@ def resolve_collaborative_gt(
         if not resp.who_with or resp.event_t is None:
             continue
         validate_who_with(resp.who_with)
-        home = by_home[reporter.home_id]
-        for mention in sorted(resp.who_with):
+        housemates = [p for p in roster if p.home_id == reporter.home_id and p.id != reporter.id]
+        for mention in resp.who_with:
             roles = _MENTION_ROLES.get(mention, {}).get(reporter.role, ())
-            candidates = [p for p in home if p.role in roles and p.id != reporter.id]
+            candidates = [p for p in housemates if p.role in roles]
             if len(candidates) != 1:
                 continue  # nobody to name, or ambiguous among several
-            mentions.setdefault(candidates[0].id, []).append((resp.event_t, resp.survey_id))
+            mentions.setdefault(candidates[0].id, set()).add((resp.event_t, resp.survey_id))
 
     records: list[GroundTruthRecord] = []
     for subject_id in sorted(mentions):
-        entries = sorted(set(mentions[subject_id]))
-        for a, b in split_at_gaps([t for t, _ in entries], COLLAB_WINDOW):
-            grp = entries[a:b]
-            lo = max(grp[0][0] - COLLAB_WINDOW, 0.0)
-            hi = grp[-1][0] + COLLAB_WINDOW
-            first = None
-            for own_t, own_survey in sorted(confirmed_own.get(subject_id, ())):
-                if lo <= own_t <= hi:
-                    first = own_survey
-                    break
+        chains: list[list[tuple[float, str]]] = []
+        for entry in sorted(mentions[subject_id]):
+            if chains and entry[0] - chains[-1][-1][0] <= COLLAB_WINDOW:
+                chains[-1].append(entry)
+            else:
+                chains.append([entry])
+        own = sorted(confirmed_own.get(subject_id, ()))
+        for chain in chains:
+            lo = max(chain[0][0] - COLLAB_WINDOW, 0.0)
+            hi = chain[-1][0] + COLLAB_WINDOW
+            first = next((survey for t, survey in own if lo <= t <= hi), None)
+            sources = tuple(sorted({survey for _, survey in chain}))
             records.append(
-                GroundTruthRecord(
-                    subject_id,
-                    (lo, hi),
-                    Fact.WAS_EATING,
-                    Provenance(first, tuple(sorted({s for _, s in grp}))),
-                )
+                GroundTruthRecord(subject_id, (lo, hi), Fact.WAS_EATING, Provenance(first, sources))
             )
     return records
 
@@ -477,22 +459,18 @@ def resolve_hourly_gt(
 ) -> list[GroundTruthRecord]:
     """Ground truth from the hourly ate-last-hour answers.
 
-    A yes with no detected event overlapping the prior hour flags a missed
-    detection; a yes with one corroborates it; a no records not-eating for
-    the hour. A window starts no earlier than the run, at 0.
+    A yes with none of the answerer's own events overlapping the prior hour
+    flags a missed detection, and with one corroborates it; a no records
+    not-eating for the hour. A window starts no earlier than the run, at 0.
     """
-    by_participant: dict[str, list[EatingEvent]] = {}
-    for ev in detected_events:
-        if ev.participant_id is not None:
-            by_participant.setdefault(ev.participant_id, []).append(ev)
-
     records = []
     for resp in mood_responses:
         if resp.kind is not SurveyKind.MOOD or resp.ate_last_hour is None or resp.t is None:
             continue
         lo, hi = max(resp.t - HOURLY_LOOKBACK, 0.0), resp.t
         seen = any(
-            ev.end >= lo and ev.start <= hi for ev in by_participant.get(resp.participant_id, ())
+            ev.participant_id == resp.participant_id and ev.end >= lo and ev.start <= hi
+            for ev in detected_events
         )
         records.append(
             GroundTruthRecord(

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mfed.ema import split_at_gaps
 from mfed.errors import ClockRegression
 from mfed.events import EventDetected, EventFinalized, StreamDetector, detect_events
 
@@ -13,26 +12,6 @@ MIN = 60.0
 
 def as_tuples(events):
     return [tuple(c.times for c in ev.clusters) for ev in events]
-
-
-class TestSplitAtGaps:
-    def test_empty(self):
-        assert split_at_gaps([], MIN) == []
-
-    def test_gap_is_inclusive(self):
-        assert split_at_gaps([0.0, 60.0, 120.5, 900.0], MIN) == [(0, 2), (2, 3), (3, 4)]
-
-    @given(st.lists(st.floats(0.0, 5000.0), max_size=30), st.floats(0.0, 1000.0))
-    @settings(max_examples=200, deadline=None)
-    def test_spans_tile_the_list_and_split_exactly_past_the_gap(self, times, gap):
-        times.sort()
-        spans = split_at_gaps(times, gap)
-        assert [i for a, b in spans for i in range(a, b)] == list(range(len(times)))
-        assert all(a < b for a, b in spans)
-        for a, b in spans:
-            assert all(times[i] - times[i - 1] <= gap for i in range(a + 1, b))
-        for (_, b), (a, _) in zip(spans, spans[1:]):
-            assert times[a] - times[b - 1] > gap
 
 
 class TestClusterGestures:
