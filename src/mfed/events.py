@@ -144,11 +144,14 @@ class StreamDetector:
         if not self._event:
             return []
         end = self._event[-1][-1]
-        if now < end + MERGE_GAP:
+        # wait while a gesture after now could start a cluster that merges:
+        # the earliest such time is the next float, and a sum such as
+        # end + MERGE_GAP may round below it
+        if math.nextafter(now, math.inf) - end <= MERGE_GAP:
             return []
         # a cluster inside the merge horizon may still reach 3 gestures and
         # extend the event; wait until it dies or qualifies (the event's own
-        # last cluster ended MERGE_GAP ago, so it fails the second test)
+        # last cluster ended over MERGE_GAP ago, so it fails the second test)
         live = self._live
         if live and live[0] - end <= MERGE_GAP and now - live[-1] <= CLUSTER_GAP:
             return []

@@ -165,6 +165,20 @@ class TestStreamDetector:
         assert finalized == detect_events(times)
         assert len(finalized) == 1 and len(finalized[0].clusters) == 2
 
+    def test_advance_waits_while_a_later_gesture_can_still_merge(self):
+        # 4.116 + 240.0 rounds down to 244.11599999999999, below the next
+        # gesture at 244.116, which the batch rule merges (244.116 - 4.116
+        # == 240.0): advancing to that sum must not finalize the event
+        det = StreamDetector()
+        out = [e for t in (0.0, 2.0, 4.116) for e in det.observe(t, t)]
+        out += det.advance(4.116 + 240.0)
+        for t in (244.116, 246.0, 248.0):
+            out += det.observe(t, t)
+        out += det.finish(300.0)
+        finalized = [e.event for e in out if isinstance(e, EventFinalized)]
+        assert finalized == detect_events([0.0, 2.0, 4.116, 244.116, 246.0, 248.0])
+        assert len(finalized) == 1 and len(finalized[0].clusters) == 2
+
     def test_late_gesture_after_finalize_starts_a_new_cluster(self):
         # a gesture delivered after advance finalized its would-be event is
         # not counted toward the closed event's last cluster
