@@ -20,14 +20,14 @@ seed, but not bit-equal to summing per-window gradients, which adds in
 another order. Ambiguous windows are excluded from training.
 
 Inference has one entry, ``probabilities``: ``forward`` on each window in
-turn, the same layers on a batch of one without the pool winners and the
-activation cache that only the backward pass reads. A window is a gesture
-when its probability is at least ``DECISION_THRESHOLD``; ``gestures``
-applies that rule to the PoIs of ``mfed detect``, ``mfed sweep`` and the
-simulator alike. Trained weights are stored as one uncompressed ``.npz``
-archive: ``version``, ``n``, ``rate`` and the ten float64 tensors under
-their ``ModelWeights`` field names. The same weights always give the same
-bytes, and loading checks every member, dtype and shape.
+turn, the same layers on a batch of one, keeping no activation cache. A
+window is a gesture when its probability is at least
+``DECISION_THRESHOLD``; ``gestures`` applies that rule to the PoIs of
+``mfed detect``, ``mfed sweep`` and the simulator alike. Trained weights
+are stored as one uncompressed ``.npz`` archive: ``version``, ``n``,
+``rate`` and the ten float64 tensors under their ``ModelWeights`` field
+names. The same weights always give the same bytes, and loading checks
+every member, dtype and shape.
 """
 from __future__ import annotations
 
