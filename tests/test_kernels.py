@@ -7,6 +7,8 @@ window ends from the cumsum, the second suppresses all strict peaks and only
 then applies the threshold, the third concatenates the four tap views. The
 kernels must return the same bytes.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,17 @@ def _matrix(n):
     return hnp.arrays(np.float64, (n, 3), elements=VALUES)
 
 
+def _long_matrix(n, seed):
+    """n rows from a seed, for lengths too long to draw element by element:
+    uniform floats, with VALUES' levels and signed zeros sprinkled in."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-20, 20, (n, 3))
+    levels = np.array([-3.0, -2.0, -1.5, -1.0, 0.0, -0.0, 1.0, 2.5])
+    at = rng.random((n, 3)) < 0.2
+    x[at] = rng.choice(levels, at.sum())
+    return x
+
+
 @st.composite
 def scans(draw):
     """Arguments of one ``poi_scan`` call."""
@@ -99,6 +112,27 @@ class TestMovingAverage:
         ref = _moving_average_gather(x, half)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_shorter_than_the_window(self, data):
+        # the carried rows then span several blocks
+        half = data.draw(st.integers(0, 12), label="half")
+        n = data.draw(st.integers(0, 80), label="n")
+        x = data.draw(_matrix(n), label="x")
+        with mock.patch.object(kernels, "_GATHER_ROWS", data.draw(st.integers(1, 30), label="block")):
+            out = kernels.moving_average(x, half, np.empty_like(x))
+        assert out.tobytes() == _moving_average_gather(x, half).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_lengths_around_the_block_size(self, data):
+        half = data.draw(st.integers(0, 12), label="half")
+        b = kernels._GATHER_ROWS
+        n = data.draw(st.sampled_from([b - 1, b, b + 1, 2 * b + half, 3 * b + 2 * half + 1]), label="n")
+        x = _long_matrix(n, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        out = kernels.moving_average(x, half, np.empty_like(x))
+        assert out.tobytes() == _moving_average_gather(x, half).tobytes()
 
 
 class TestPoiScan:

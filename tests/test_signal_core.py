@@ -87,6 +87,62 @@ class TestSmooth:
             smooth(s, 1.0)
 
 
+def _split_segments_diff(series):
+    """The rule of ``split_segments`` on one whole ``np.diff`` of the timestamps."""
+    n = len(series)
+    if n == 0:
+        return []
+    cut = np.flatnonzero(np.diff(series.t) > MAX_JITTER_FACTOR / series.rate) + 1
+    bounds = [0, *cut.tolist(), n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+DIFF_ROWS = 8192  # the timestamp differences split_segments compares at a time
+
+
+class TestSplitSegments:
+    @staticmethod
+    def _series(n, gaps, rate=25.0):
+        """n rows at ``rate``; row i of ``gaps`` starts ``gaps[i]`` after row
+        i - 1: a gap of "above" is the smallest float difference that splits,
+        "below" the largest that does not."""
+        limit = MAX_JITTER_FACTOR / rate
+        t = np.empty(n)
+        t[0] = 0.0
+        for i in range(1, n):
+            t[i] = t[i - 1] + 1.0 / rate
+            kind = gaps.get(i)
+            if kind is None:
+                continue
+            t[i] = t[i - 1] + limit
+            while t[i] - t[i - 1] <= limit:
+                t[i] = np.nextafter(t[i], np.inf)
+            if kind == "below":
+                while t[i] - t[i - 1] > limit:
+                    t[i] = np.nextafter(t[i], -np.inf)
+        return AccelSeries(rate, t, np.zeros((n, 3)))
+
+    @pytest.mark.parametrize("kind", ["above", "below"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_gap_at_the_threshold_around_a_slice_boundary(self, kind, offset):
+        row = DIFF_ROWS + offset  # row DIFF_ROWS's difference is the first of the second slice
+        s = self._series(3 * DIFF_ROWS, {row: kind, 5: kind, 2 * DIFF_ROWS: kind})
+        limit = MAX_JITTER_FACTOR / s.rate
+        assert (s.t[row] - s.t[row - 1] > limit) == (kind == "above")
+        segments = split_segments(s)
+        assert segments == _split_segments_diff(s)
+        assert len(segments) == (4 if kind == "above" else 1)
+
+    @given(
+        n=st.integers(0, 3 * DIFF_ROWS),
+        gaps=st.dictionaries(st.integers(1, 3 * DIFF_ROWS), st.sampled_from(["above", "below"]), max_size=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_one_whole_diff(self, n, gaps):
+        s = self._series(n, gaps) if n else AccelSeries(25.0, np.empty(0), np.empty((0, 3)))
+        assert split_segments(s) == _split_segments_diff(s)
+
+
 class TestDetectPois:
     def test_constant_series_has_no_peaks(self):
         assert detect_pois(constant_series(), DetectorConfig()) == []

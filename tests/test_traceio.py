@@ -104,6 +104,39 @@ class TestLoadTrace:
         assert err.value.line == 3
 
 
+CHECK_BYTES = 1 << 16  # the body bytes the bulk path checks at a time
+
+
+def _trace_with_stray_byte(pos: int, stray: bytes):
+    """Trace CSV bytes of about 2.5 check slices whose only byte outside
+    plain numbers is ``stray``, at offset ``pos``, first byte of a row's ax
+    field; and the line of that row."""
+    head = b"t_ms,ax,ay,az\n"
+    width, ax = 20, 9  # b"%08d,0.5,-1,9.8\n": the row's width and its ax field's column
+    row, pad = divmod(pos - len(head) - ax, width)
+    rows = [b"%08d,0.5,-1,9.8%s\n" % (40 * i, b"0" * pad * (i == 0)) for i in range(5 * CHECK_BYTES // 2 // width)]
+    rows[row] = b"%08d,%s.5,-1,9.8\n" % (40 * row, stray)
+    data = head + b"".join(rows)
+    assert data[pos : pos + 1] == stray
+    return data, row + 2
+
+
+@pytest.mark.parametrize("stray", [b"\xff", b"x"])
+@pytest.mark.parametrize(
+    "slice_byte", [CHECK_BYTES - 1, CHECK_BYTES, 2 * CHECK_BYTES - 1], ids=["last-of-first", "first", "last"]
+)
+def test_stray_byte_at_a_check_slice_edge_goes_to_the_line_parser(tmp_path, stray, slice_byte):
+    # the slices start after the header's line
+    data, line = _trace_with_stray_byte(len(b"t_ms,ax,ay,az\n") + slice_byte, stray)
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        with pytest.raises(ParseError) as err:
+            load_trace(str(path), 25.0)
+    assert err.value.line == line
+    assert not loadtxt.called  # the byte check, not numpy, sent the file to the line parser
+
+
 class TestLoadAnnotations:
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "a.csv"
