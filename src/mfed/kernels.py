@@ -9,6 +9,12 @@ Conventions:
   - smoothing and the PoI scan are bit-stable: their outputs equal, byte for
     byte, the plain per-row gather and suppress-then-threshold loop that the
     tests keep as references; the CNN layers are not (below)
+  - ``moving_average`` runs its cumsum in blocks of at most
+    ``_GATHER_ROWS`` rows and keeps only the last ``2 * half + 1`` cumsum
+    rows from one block to the next; each block sums on from the row
+    carried before it, so every cumsum row is the sequential sum that one
+    whole ``(n + 1, 3)`` cumsum holds, bit for bit, and no temporary grows
+    with the series
   - the PoI scan takes the window variances of k kept peaks from one
     C-ordered ``(L, k, 3)`` gather (window row, peak, channel), not from
     four reductions per peak: its sums over axis 0 add the L rows one after
@@ -49,6 +55,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
+# at most this many rows per cumsum block of the moving average and per variance
+# gather of the PoI scan (192 KiB of float64 rows of 3)
+_GATHER_ROWS = 8192
+
 # ---------------------------------------------------------------------------
 # centered moving average, window truncated at the series edges
 
@@ -59,19 +69,42 @@ def moving_average(x: np.ndarray, half: int, out: np.ndarray) -> np.ndarray:
     if half <= 0:
         out[...] = x
         return out
-    csum = np.zeros((n + 1, x.shape[1]))
-    np.cumsum(x, axis=0, out=csum[1:])
+    # csum[k] is the sum of x[:k]; buf[j] holds csum[off + j]: the last w rows
+    # of the cumsum so far, then those of one block of x
     w = 2 * half + 1
-    if n > 2 * half:  # full windows: a difference of two cumsum slices
-        mid = out[half : n - half]
-        np.subtract(csum[w:], csum[: n + 1 - w], out=mid)
-        mid /= w
-        edges = np.concatenate((np.arange(half), np.arange(n - half, n)))
-    else:
-        edges = np.arange(n)
-    lo = np.maximum(edges - half, 0)
-    hi = np.minimum(edges + half, n - 1)
-    out[edges] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
+    buf = np.empty((w + _GATHER_ROWS, x.shape[1]))
+    off = 1 - w
+    # in place of csum[0]: -0.0 + v is v for every v, so the first block's
+    # sums are those of one whole cumsum; and v - 0.0 is v, so a window that
+    # starts at row 0 takes its last cumsum row as it is: csum[0] is never read
+    buf[w - 1] = -0.0
+    # windows start at row 0 in the rows before head, end at the last row from tail on
+    head, tail = min(half + 1, n), max(n - half, 0)
+    for a in range(0, n, _GATHER_ROWS):
+        b = min(a + _GATHER_ROWS, n)
+        buf[:w] = buf[a + 1 - w - off : a + 1 - off]  # carry csum[a + 1 - w : a + 1]
+        off = a + 1 - w
+        block = buf[w - 1 : w + b - a]  # csum[a : b + 1], summed on from csum[a]
+        block[1:] = x[a:b]
+        np.cumsum(block, axis=0, out=block)
+        # the rows whose window ends in this block: before head they take
+        # csum[i + half + 1], divided below; then, up to tail, full windows,
+        # the difference of two cumsum slices
+        first, end = max(a - half, 0), max(b - half, 0)
+        lo, hi = first, max(first, min(end, head))
+        out[lo:hi] = buf[lo + half + 1 - off : hi + half + 1 - off]
+        lo = max(first, half + 1)
+        hi = max(lo, min(end, tail))
+        np.subtract(
+            buf[lo + half + 1 - off : hi + half + 1 - off], buf[lo - half - off : hi - half - off], out=out[lo:hi]
+        )
+        out[lo:hi] /= w
+    # the edge rows read csum[n] and the carried rows before it
+    last = buf[n - off]
+    out[tail:head] = last  # windows that hold every row
+    out[:head] /= np.minimum(np.arange(head) + half + 1, n)[:, None]
+    lo = max(tail, half + 1)
+    out[lo:] = (last - buf[lo - half - off : n - half - off]) / (n + half - np.arange(lo, n))[:, None]
     return out
 
 
@@ -89,8 +122,6 @@ def moving_average(x: np.ndarray, half: int, out: np.ndarray) -> np.ndarray:
 # replaces or suppresses one at or below it, and it only ever moves the
 # suppression anchor later in time, where every peak it could suppress is
 # above x_th too.
-
-_GATHER_ROWS = 8192  # at most this many window rows per variance gather (192 KiB)
 
 
 def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):

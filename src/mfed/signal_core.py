@@ -23,6 +23,7 @@ from . import kernels
 from .errors import ConfigError, WindowOutOfBounds, check_fields, real
 
 MAX_JITTER_FACTOR = 1.5
+_DIFF_ROWS = 8192  # at most this many timestamp differences compared at a time
 
 
 class Label(Enum):
@@ -131,11 +132,15 @@ def split_segments(series: AccelSeries) -> list[tuple[int, int]]:
 
     A gap above MAX_JITTER_FACTOR / rate starts a new segment.
     """
-    n = len(series)
+    t, n = series.t, len(series)
     if n == 0:
         return []
-    cut = np.flatnonzero(np.diff(series.t) > MAX_JITTER_FACTOR / series.rate) + 1
-    bounds = [0, *cut.tolist(), n]
+    bounds = [0]
+    for a in range(0, n - 1, _DIFF_ROWS):  # t[a + 1 : b + 1] - t[a : b] is np.diff(t)[a:b]
+        b = min(a + _DIFF_ROWS, n - 1)
+        gaps = t[a + 1 : b + 1] - t[a:b] > MAX_JITTER_FACTOR / series.rate
+        bounds += (np.flatnonzero(gaps) + a + 1).tolist()
+    bounds.append(n)
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -146,19 +151,19 @@ def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
     gap. ``smooth_len=0`` returns the input unchanged. The result shares
     ``t`` with the input, which is valid already, so only the smoothed
     values are checked: they are finite unless a cumsum overflowed, and
-    then this raises ConfigError without a numpy warning. Each segment's
-    moving average is written into its rows of one output array.
+    then this raises ConfigError without a numpy warning. The check reads
+    only their minimum and maximum, which a NaN or an infinity reaches, so
+    it allocates no array the size of the series. Each segment's moving
+    average is written into its rows of one output array.
     """
     width = smooth_width(smooth_len, series.rate)
     if width <= 1:
         return series
-    # allocated before the cumsums, so that each cumsum, freed on return, lies above
-    # the result and goes back to the system instead of staying resident as a hole below it
     out = np.empty_like(series.xyz)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         for lo, hi in split_segments(series):
             kernels.moving_average(series.xyz[lo:hi], width // 2, out[lo:hi])
-    if not np.all(np.isfinite(out)):
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise ConfigError("smoothing overflowed: the smoothed samples are not finite")
     return _unchecked(series.rate, series.t, out)
 

@@ -41,6 +41,7 @@ ANNOTATION_HEADER = ("t_ms",)
 # ASCII separators \x1c-\x1f, a few non-ASCII letters), so any other
 # character sends the file to the line parser.
 _BULK_CHARS = b"0123456789+-.eE, \t\r\n"
+_CHECK_BYTES = 1 << 16  # body bytes per _BULK_CHARS check
 
 
 def load_trace(path: str, rate: float) -> AccelSeries:
@@ -93,11 +94,13 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     row = next(csv.reader([raw[:start].decode("ascii")], strict=True)) if start else None
     if not _header_ok(row, header):
         return None
-    # The checks read the whole file rather than a copy of its body: only the
-    # header's characters may fall outside _BULK_CHARS, and a long header
-    # field just sends the file to the line parser.
-    header_rest = raw[:start].translate(None, _BULK_CHARS)
-    if raw.translate(None, _BULK_CHARS) != header_rest or not _fields_within_csv_limit(raw):
+    # Only the header's characters may fall outside _BULK_CHARS, so the body
+    # alone is checked, a slice at a time: no copy of the file is made. The
+    # field check reads the whole file; a long header field just sends the
+    # file to the line parser.
+    if any(
+        raw[i : i + _CHECK_BYTES].translate(None, _BULK_CHARS) for i in range(start, len(raw), _CHECK_BYTES)
+    ) or not _fields_within_csv_limit(raw):
         return None
     del raw  # free the file's bytes before numpy reads it
     dtype = np.dtype([("t_ms", np.int64), ("v", np.float64, (len(header) - 1,))])

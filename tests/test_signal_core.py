@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import synth
-from mfed import kernels
+from mfed import kernels, signal_core
 from mfed.errors import ConfigError, WindowOutOfBounds
 from mfed.signal_core import (
     MAX_JITTER_FACTOR,
@@ -79,6 +80,19 @@ class TestSmooth:
         )
         assert smooth(s, 1.0).xyz.tobytes() == expected.tobytes()
 
+    def test_allocates_little_beyond_its_result(self):
+        # a whole-trace cumsum or timestamp diff would add 24 or 8 bytes a row
+        n = 120_000
+        s = AccelSeries(25.0, np.arange(n) / 25.0, np.random.default_rng(3).normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            out = smooth(s, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert split_segments(s) == [(0, n)]
+        assert peak - out.xyz.nbytes <= 1 << 20
+
     @pytest.mark.parametrize("gap", [False, True], ids=["one-segment", "two-segments"])
     def test_overflowing_cumsum_raises(self, gap):
         t = np.arange(100) / 25.0 + np.where(np.arange(100) >= 50, 10.0 * gap, 0.0)
@@ -97,7 +111,7 @@ def _split_segments_diff(series):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-DIFF_ROWS = 8192  # the timestamp differences split_segments compares at a time
+DIFF_ROWS = signal_core._DIFF_ROWS
 
 
 class TestSplitSegments:

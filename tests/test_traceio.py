@@ -104,7 +104,7 @@ class TestLoadTrace:
         assert err.value.line == 3
 
 
-CHECK_BYTES = 1 << 16  # the body bytes the bulk path checks at a time
+CHECK_BYTES = traceio._CHECK_BYTES
 
 
 def _trace_with_stray_byte(pos: int, stray: bytes):
