@@ -195,11 +195,16 @@ def conv2d_backward(x, w, dout, *, input_grad):
     dw = (cols.reshape(-1, cols.shape[-1]).T @ rows).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    # one product per tap: as fast as one (rows, 4C) product, without its buffer
+    # one product per tap: as fast as one (rows, 4C) product, without its buffer;
+    # with a contiguous copy of the tap's transposed weights, a conv2 tap at
+    # B = 4 took 16 against 23 us (x86-64, numpy 2.4, 1 BLAS thread); its
+    # bytes were the strided product's from 38 rows up, so for every window
+    # of 80 rows or more
     h, wd, c = x.shape[-3:]
     dx = np.zeros_like(x)
     for di, dj in _TAPS:
-        dx[..., di : h - 1 + di, dj : wd - 1 + dj, :] += (rows @ w[di, dj].T).reshape(cols.shape[:-1] + (c,))
+        tap = rows @ np.ascontiguousarray(w[di, dj].T)
+        dx[..., di : h - 1 + di, dj : wd - 1 + dj, :] += tap.reshape(cols.shape[:-1] + (c,))
     return dx, dw, db
 
 
