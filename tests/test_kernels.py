@@ -10,6 +10,7 @@ kernels must return the same bytes.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -112,6 +113,14 @@ class TestMovingAverage:
         ref = _moving_average_gather(x, half)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 40])
+    def test_leading_negative_zeros_keep_their_sign(self, n):
+        # a cumsum started from +0.0 would turn the leading -0.0 sums positive
+        x = np.full((n, 3), -0.0)
+        x[n // 2 :, 1] = 1.0
+        out = kernels.moving_average(x, 2, np.empty_like(x))
+        assert out.tobytes() == _moving_average_gather(x, 2).tobytes()
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

@@ -100,6 +100,15 @@ class TestSmooth:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="finite"):
             smooth(s, 1.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_beside_finite_samples_raises(self, sign):
+        # a 5-row segment whose sums overflow to one infinity, then finite rows:
+        # the smoothed values hold that infinity and no NaN
+        t = np.concatenate([np.arange(5), 10 + np.arange(50)]) / 25.0
+        xyz = np.concatenate([np.full((5, 3), sign * 1e308), np.ones((50, 3))])
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="finite"):
+            smooth(AccelSeries(25.0, t, xyz), 1.0)
+
 
 def _split_segments_diff(series):
     """The rule of ``split_segments`` on one whole ``np.diff`` of the timestamps."""
