@@ -252,6 +252,26 @@ class TestOneDetectionPath:
         assert len(detected) == 2
         assert records_of(lines, "eating_event") == detected
 
+    def test_logged_probabilities_are_forward_of_each_poi_window(self, tmp_path):
+        gestures = [67.5 + 15.0 * i for i in range(9)] + [967.5 + 15.0 * i for i in range(9)]
+        cfg = _home(gestures, watch.UploadPolicy(), duty=None)
+        series, detector = cfg.participants[0].series, cfg.detector
+        smoothed = smooth(series, detector.smooth_len)
+        windows = [extract_window(smoothed, poi, detector) for poi in detect_pois(smoothed, detector)]
+        weights = classifier.init_weights(150, 25.0, np.random.default_rng(4))
+        # the output bias puts the threshold among the windows' logits, so some are rejected
+        logits = sorted(math.log(p / (1.0 - p)) for p in classifier.probabilities(weights, windows))
+        weights.out_b[0] -= logits[len(logits) // 2]
+        path = tmp_path / "w.npz"
+        classifier.save_weights(weights, str(path))
+        _, lines, _ = run_to_lines(replace(cfg, weights=str(path)))
+        logged = records_of(lines, "gesture")
+        expected = {traceio.ms(w.poi.t): round(classifier.forward(weights, w), 6) for w in windows}
+        assert 0 < len(logged) < len(windows) == 18
+        assert [g["prob"] for g in logged] == [expected[g["t_ms"]] for g in logged]
+        times, _ = metrics.detect_gesture_times(series, detector, weights)
+        assert [g["t_ms"] for g in logged] == [traceio.ms(t) for t in times]
+
     @pytest.mark.parametrize("shift", [0.0, 1000.0])
     def test_run_covers_a_trace_with_a_dropout_or_a_late_start(self, shift):
         # samples from 0 to 200 s and from 500 to 800 s, six gestures in each part, all moved by shift
