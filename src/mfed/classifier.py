@@ -22,8 +22,9 @@ another order. Ambiguous windows are excluded from training.
 Inference has one entry, ``probabilities``: ``forward`` on each window in
 turn, the same layers on a batch of one, keeping no activation cache. A
 window is a gesture when its probability is at least
-``DECISION_THRESHOLD``; ``gestures`` applies that rule to the PoIs of
-``mfed detect``, ``mfed sweep`` and the simulator alike. Trained weights
+``DECISION_THRESHOLD``; ``gestures`` applies that rule to ``GestureWindow``s
+cut by its callers: the PoI windows of ``mfed detect`` and ``mfed sweep``,
+and those the simulator's base station holds. Trained weights
 are stored as one uncompressed ``.npz`` archive: ``version``, ``n``,
 ``rate`` and the ten float64 tensors under their ``ModelWeights`` field
 names. The same weights always give the same bytes, and loading checks
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import FormatError, InsufficientData, ShapeError, check_fields
-from .signal_core import AccelSeries, DetectorConfig, GestureWindow, Label, extract_window
+from .signal_core import GestureWindow, Label
 
 logger = logging.getLogger(__name__)
 
@@ -246,15 +247,14 @@ def probabilities(weights: ModelWeights, windows) -> list[float]:
     return [forward(weights, window) for window in windows]
 
 
-def gestures(weights: ModelWeights | None, smoothed: AccelSeries, pois, cfg: DetectorConfig) -> list:
-    """``(poi, probability)`` for each of ``pois`` whose window of the
-    smoothed series ``probabilities`` puts at or above DECISION_THRESHOLD,
-    in order. Without weights (threshold-only mode) every PoI is a gesture,
-    with probability None. Batch detection and the simulator's base station
+def gestures(weights: ModelWeights | None, windows) -> list:
+    """``(window.poi, probability)`` for each of the ``GestureWindow``s
+    that ``probabilities`` puts at or above DECISION_THRESHOLD, in order.
+    Without weights (threshold-only mode) every window is a gesture, with
+    probability None. Batch detection and the simulator's base station
     both accept gestures here."""
     if weights is None:
-        return [(poi, None) for poi in pois]
-    windows = [extract_window(smoothed, poi, cfg) for poi in pois]
+        return [(w.poi, None) for w in windows]
     return [(w.poi, p) for w, p in zip(windows, probabilities(weights, windows)) if p >= DECISION_THRESHOLD]
 
 

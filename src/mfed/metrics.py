@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from . import classifier as _classifier
 from .errors import ConfigError, InsufficientData, real
-from .signal_core import AccelSeries, DetectorConfig, detect_pois, smooth
+from .signal_core import AccelSeries, DetectorConfig, detect_pois, extract_window, smooth
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def _gesture_times(series: AccelSeries, cfgs: list[DetectorConfig], weights) -> 
     smoothed = smooth(series, cfgs[0].smooth_len)
     found = [detect_pois(smoothed, c) for c in cfgs]
     distinct = sorted({poi.index: poi for pois in found for poi in pois}.values(), key=lambda poi: poi.index)
-    accepted = {poi.index for poi, _ in _classifier.gestures(weights, smoothed, distinct, cfgs[0])}
+    windows = [extract_window(smoothed, poi, cfgs[0]) for poi in distinct]
+    accepted = {poi.index for poi, _ in _classifier.gestures(weights, windows)}
     return [([poi.t for poi in pois if poi.index in accepted], len(pois)) for pois in found]
 
 

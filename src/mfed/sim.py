@@ -44,7 +44,7 @@ import numpy as np
 
 from . import classifier, ema, events, traceio, watch
 from .errors import ConfigError, InvalidAnswer, ShapeError, check_fields, field_hints
-from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, smooth, window_extent
+from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, extract_window, smooth, window_extent
 from .traceio import ms
 
 BATTERY_START_PERCENT = 100.0
@@ -186,9 +186,12 @@ class _Node:
             self.annotations = traceio.load_annotations(spec.annotations)
         else:
             self.annotations = []
-        self.smoothed = smooth(self.series, cfg.detector.smooth_len)
-        self.pois = detect_pois(self.smoothed, cfg.detector)
-        self.poi_at = {poi.t: poi for poi in self.pois}  # upload payloads name PoIs by time
+        smoothed = smooth(self.series, cfg.detector.smooth_len)
+        self.pois = detect_pois(smoothed, cfg.detector)
+        views = [extract_window(smoothed, poi, cfg.detector) for poi in self.pois]
+        stack = np.array([w.samples for w in views])  # copies, so that the smoothed series can go
+        stack.flags.writeable = False
+        self.windows = {w.poi.t: replace(w, samples=x) for w, x in zip(views, stack)}  # uploads name PoIs by time
         self.watch = watch.WatchState(self.series)
         self.stream = events.StreamDetector(self.pid)
         self.schedule = ema.ScheduleState()
@@ -279,9 +282,9 @@ class HomeSimulation:
             self._log("beacon", bt, node.pid, beacon=beacon_id, rssi_dbm=rssi)
         for bt, pct in payload.battery_samples:
             self._log("battery", bt, node.pid, percent=round(pct, 3))
-        # node.smoothed equals the smoothing of the samples shipped so far (decision_times)
-        pois = [node.poi_at[poi_t] for poi_t in payload.pois]
-        for poi, prob in classifier.gestures(self.weights, node.smoothed, pois, self.cfg.detector):
+        # each window equals the smoothing of the samples shipped so far (decision_times)
+        windows = [node.windows[poi_t] for poi_t in payload.pois]
+        for poi, prob in classifier.gestures(self.weights, windows):
             self._log("gesture", poi.t, node.pid, **({} if prob is None else {"prob": round(prob, 6)}))
             for emission in node.stream.observe(poi.t, t):
                 self._handle_emission(t, node, emission)

@@ -387,7 +387,7 @@ class TestGestures:
         assert len(pois) == 4
         w = small_weights(3, n=window_extent(cfg.window_len, series.rate)[0])
         calls = _recording_probabilities(monkeypatch)
-        C.gestures(w, smoothed, pois, cfg)
+        C.gestures(w, [extract_window(smoothed, poi, cfg) for poi in pois])
         assert len(calls) == 1
         assert [x.poi for x in calls[0]] == pois
         for x, poi in zip(calls[0], pois):
@@ -412,9 +412,9 @@ class TestGestures:
             w.out_b[0] -= sorted(logits)[len(logits) // 2] + shift * (max(logits) - min(logits))
         probs = [C.forward(w, x) for x in windows]
         expected = [(poi, prob) for poi, prob in zip(pois, probs) if prob >= C.DECISION_THRESHOLD]
-        assert C.gestures(w, smoothed, pois, cfg) == expected
+        assert C.gestures(w, windows) == expected
         bounds = [0, *sorted(min(c, len(pois)) for c in cuts), len(pois)]
-        chunked = [g for a, b in zip(bounds, bounds[1:]) for g in C.gestures(w, smoothed, pois[a:b], cfg)]
+        chunked = [g for a, b in zip(bounds, bounds[1:]) for g in C.gestures(w, windows[a:b])]
         assert chunked == expected
 
     def test_threshold_only_accepts_every_poi(self):
@@ -423,7 +423,7 @@ class TestGestures:
         smoothed = smooth(series, cfg.smooth_len)
         pois = detect_pois(smoothed, cfg)
         assert len(pois) == 3
-        assert C.gestures(None, smoothed, pois, cfg) == [(poi, None) for poi in pois]
+        assert C.gestures(None, [extract_window(smoothed, poi, cfg) for poi in pois]) == [(poi, None) for poi in pois]
 
 
 def _labeled(rng, count, n=16):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import types
 from dataclasses import replace
 from functools import partial
@@ -284,6 +285,24 @@ class TestOneDetectionPath:
         times, _ = metrics.detect_gesture_times(series, DetectorConfig())
         assert len(times) == 12
         assert [g["t_ms"] for g in records_of(lines, "gesture")] == [traceio.ms(t) for t in times]
+
+
+class TestBaseStationMemory:
+    def test_holds_read_only_poi_windows_and_frees_the_smoothed_trace(self):
+        gestures = [600.0 + 20.0 * i for i in range(6)] + [4200.0 + 20.0 * i for i in range(6)]
+        series = synth.gesture_trace(np.random.default_rng(1), gestures, duration=7200.0)
+        spec = sim.ParticipantSpec(participant=ema.Participant("p1", "h1", ema.Role.MOTHER, (0.0, 24.0)), series=series)
+        tracemalloc.start()
+        try:
+            simulation = sim.HomeSimulation(sim.HomeConfig(home_id="h1", participants=(spec,)))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < series.xyz.nbytes / 2
+        windows = list(simulation.nodes[0].windows.values())
+        assert [w.poi.t for w in windows] == [poi.t for poi in simulation.nodes[0].pois]
+        assert len(windows) == 12
+        assert not any(w.samples.flags.writeable for w in windows)
 
 
 class TestUploadedData:
