@@ -24,7 +24,8 @@ turn, the same layers on a batch of one, keeping no activation cache. A
 window is a gesture when its probability is at least
 ``DECISION_THRESHOLD``; ``gestures`` applies that rule to ``GestureWindow``s
 cut by its callers: the PoI windows of ``mfed detect`` and ``mfed sweep``,
-and those the simulator's base station holds. Trained weights
+and those the simulator's base station holds. ``check_rows`` is the one
+rule that a window's row count must equal the weights' ``n``. Trained weights
 are stored as one uncompressed ``.npz`` archive: ``version``, ``n``,
 ``rate`` and the ten float64 tensors under their ``ModelWeights`` field
 names. The same weights always give the same bytes, and loading checks
@@ -229,11 +230,17 @@ def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, n
     return grads
 
 
+def check_rows(weights: ModelWeights | None, rows: int, where: str = ""):
+    """Raise ShapeError, its message led by ``where``, unless ``rows``-row
+    windows fit the weights; without weights any window fits."""
+    if weights is not None and rows != weights.n:
+        raise ShapeError(f"{where}window has {rows} rows, weights expect {weights.n}")
+
+
 def forward(weights: ModelWeights, window) -> float:
     """Probability in (0, 1) that the window is an eating gesture."""
     x = _window_array(window)
-    if x.shape[0] != weights.n:
-        raise ShapeError(f"window has {x.shape[0]} rows, weights expect {weights.n}")
+    check_rows(weights, x.shape[0])
     return _forward_pass(weights, x[None])[0]
 
 

@@ -43,7 +43,7 @@ from typing import Annotated, Any, get_args, get_origin
 import numpy as np
 
 from . import classifier, ema, events, traceio, watch
-from .errors import ConfigError, InvalidAnswer, ShapeError, check_fields, field_hints
+from .errors import ConfigError, InvalidAnswer, check_fields, field_hints
 from .signal_core import AccelSeries, DetectorConfig, decision_times, detect_pois, extract_window, smooth, window_extent
 from .traceio import ms
 
@@ -219,8 +219,7 @@ class HomeSimulation:
         ]
         for node in self.nodes:
             rows = window_extent(config.detector.window_len, node.series.rate)[0]
-            if self.weights is not None and rows != self.weights.n:
-                raise ShapeError(f"{node.pid}: window has {rows} rows, weights expect {self.weights.n}")
+            classifier.check_rows(self.weights, rows, f"{node.pid}: ")
         ends = [float(n.series.t[-1]) + 1.0 / n.series.rate for n in self.nodes if len(n.series)]
         self.duration = config.duration_s or max(ends, default=0.0)
         self.heap: list[tuple[float, int, str, _Node, object]] = []  # seq breaks ties

@@ -13,7 +13,7 @@ import mfed
 import synth
 from mfed import classifier
 from mfed.cli import build_parser, main
-from mfed.signal_core import DetectorConfig
+from mfed.signal_core import DetectorConfig, detect_pois, smooth
 
 
 @pytest.fixture
@@ -69,6 +69,20 @@ class TestDetect:
         code = main(["detect", "--trace", str(trace), "--rate", "25", "--weights", str(wpath)])
         assert code == 2
         assert "mfed train" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate", "sweep"])
+    def test_weights_that_do_not_fit_the_window_exit_2_on_a_trace_without_pois(self, command, tmp_path, capsys):
+        series = synth.noise_trace(np.random.default_rng(0), duration=60.0)
+        assert detect_pois(smooth(series, DetectorConfig().smooth_len), DetectorConfig()) == []
+        trace, ann, wpath = tmp_path / "flat.csv", tmp_path / "ann.csv", tmp_path / "w.npz"
+        synth.write_trace_csv(str(trace), series)
+        synth.write_annotations_csv(str(ann), [])
+        classifier.save_weights(classifier.init_weights(100, 25.0, np.random.default_rng(0)), str(wpath))
+        args = [command, "--trace", str(trace), "--weights", str(wpath), "--out", str(tmp_path / "out")]
+        assert main(args + ([] if command == "detect" else ["--annotations", str(ann)])) == 2
+        assert capsys.readouterr().err == "error: window has 150 rows, weights expect 100\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

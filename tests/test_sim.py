@@ -241,12 +241,13 @@ class TestOneDetectionPath:
         cfg = _home(gestures, watch.UploadPolicy(), weights="w.npz", duty=None)
         # by gesture: rejected, accepted at the threshold, accepted
         probs = (0.25, classifier.DECISION_THRESHOLD, 0.75)
-        monkeypatch.setattr(classifier, "load_weights", lambda path: types.SimpleNamespace(n=150))
+        weights = types.SimpleNamespace(n=150)
+        monkeypatch.setattr(classifier, "load_weights", lambda path: weights)
         monkeypatch.setattr(
             classifier, "probabilities", lambda weights, windows: [probs[int(w.poi.t // 15.0) % 3] for w in windows]
         )
         _, lines, _ = run_to_lines(cfg)
-        times, n_pois = metrics.detect_gesture_times(cfg.participants[0].series, cfg.detector, "weights")
+        times, n_pois = metrics.detect_gesture_times(cfg.participants[0].series, cfg.detector, weights)
         assert (len(times), n_pois) == (12, 18)
         assert [g["t_ms"] for g in records_of(lines, "gesture")] == [traceio.ms(t) for t in times]
         detected = [traceio.eating_event_record(ev) for ev in events.detect_events(times, "p1")]
