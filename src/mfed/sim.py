@@ -2,9 +2,11 @@
 
 One home runs as a single-threaded discrete-event loop: watch nodes replay
 their traces, count each PoI at its decision time, and upload on quorum
-(see ``watch``); the base station classifies exactly the PoIs each upload
-names through ``classifier.gestures``, the accept rule of ``mfed detect``,
-clusters gestures into events, and schedules EMAs; seeded responder
+(see ``watch``); the base station holds each participant's PoI windows,
+read-only copies cut once from the smoothed trace, which is then freed. It
+classifies exactly the windows of the PoIs each upload names through
+``classifier.gestures``, the accept rule of ``mfed detect``, clusters
+gestures into events, and schedules EMAs; seeded responder
 agents answer the surveys; ground truth is resolved at the end of the run.
 Each participant's event detector only observes the gestures uploads
 deliver: an event is finalized when that participant's next event is
