@@ -230,7 +230,7 @@ def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, n
     return grads
 
 
-def check_rows(weights: ModelWeights | None, rows: int, where: str = ""):
+def check_rows(weights: ModelWeights | None, rows: int, where: str):
     """Raise ShapeError, its message led by ``where``, unless ``rows``-row
     windows fit the weights; without weights any window fits."""
     if weights is not None and rows != weights.n:
@@ -240,7 +240,7 @@ def check_rows(weights: ModelWeights | None, rows: int, where: str = ""):
 def forward(weights: ModelWeights, window) -> float:
     """Probability in (0, 1) that the window is an eating gesture."""
     x = _window_array(window)
-    check_rows(weights, x.shape[0])
+    check_rows(weights, x.shape[0], "")
     return _forward_pass(weights, x[None])[0]
 
 

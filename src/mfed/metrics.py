@@ -92,7 +92,7 @@ def _gesture_times(series: AccelSeries, cfgs: list[DetectorConfig], weights) -> 
     """``detect_gesture_times`` for each of ``cfgs``, which differ only in
     their thresholds: a PoI's window depends on its index alone, so the
     series is smoothed once and each distinct PoI classified once."""
-    _classifier.check_rows(weights, window_extent(cfgs[0].window_len, series.rate)[0])
+    _classifier.check_rows(weights, window_extent(cfgs[0].window_len, series.rate)[0], "")
     smoothed = smooth(series, cfgs[0].smooth_len)
     found = [detect_pois(smoothed, c) for c in cfgs]
     distinct = sorted({poi.index: poi for pois in found for poi in pois}.values(), key=lambda poi: poi.index)
