@@ -254,9 +254,9 @@ def probabilities(weights: ModelWeights, windows) -> list[float]:
     return [forward(weights, window) for window in windows]
 
 
-def gestures(weights: ModelWeights | None, windows) -> list:
-    """``(window.poi, probability)`` for each of the ``GestureWindow``s
-    that ``probabilities`` puts at or above DECISION_THRESHOLD, in order.
+def gestures(weights: ModelWeights | None, windows: list[GestureWindow]) -> list:
+    """``(window.poi, probability)`` for each of the windows that
+    ``probabilities`` puts at or above DECISION_THRESHOLD, in order.
     Without weights (threshold-only mode) every window is a gesture, with
     probability None. Batch detection and the simulator's base station
     both accept gestures here."""
