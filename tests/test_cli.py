@@ -70,7 +70,6 @@ class TestDetect:
         assert code == 2
         assert "mfed train" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("command", ["detect", "evaluate", "sweep"])
     def test_weights_that_do_not_fit_the_window_exit_2_on_a_trace_without_pois(self, command, tmp_path, capsys):
         series = synth.noise_trace(np.random.default_rng(0), duration=60.0)
