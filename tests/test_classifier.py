@@ -664,7 +664,7 @@ def _maxpool2_backward_where(dout, arg, h):
     return dx
 
 
-def _full_mask_loss_and_grads(w, x, y):
+def _full_mask_loss_and_grads(w, x, y, scale=1.0):
     x3 = x[..., None]
     a1 = np.maximum(kernels.conv2d(x3, w.conv1_w, w.conv1_b), 0.0)
     p1, i1 = _maxpool2_where(a1)
@@ -677,7 +677,7 @@ def _full_mask_loss_and_grads(w, x, y):
     loss = 0.0
     for pi, yi in zip(p, y.tolist()):
         loss -= yi * math.log(max(pi, 1e-12)) + (1.0 - yi) * math.log(max(1.0 - pi, 1e-12))
-    dz5 = np.asarray(p) - y
+    dz5 = (np.asarray(p) - y) * scale
     g = {"out_w": a4.T @ dz5[:, None], "out_b": np.array([dz5.sum()])}
     dz4 = dz5[:, None] * w.out_w[:, 0] * (a4 > 0)
     g["dense2_w"], g["dense2_b"] = a3.T @ dz4, dz4.sum(axis=0)
@@ -706,6 +706,41 @@ class TestPooledMasks:
         assert loss == loss_ref
         for name in C.TENSOR_NAMES:
             assert grads[name].tobytes() == ref[name].tobytes(), name
+
+
+def _reference_train(data, cfg):
+    """``train`` as plain SGD: the same seeded init and per-epoch permutation,
+    each step the full-mask pass scaled by ``learning_rate / B``, subtracted
+    from every tensor."""
+    used = [d for d in data if d.label is not Label.AMBIGUOUS]
+    xs = np.stack([d.window.samples for d in used])
+    ys = np.array([float(d.label is Label.POSITIVE) for d in used])
+    rng = np.random.default_rng(cfg.seed)
+    w = C.init_weights(xs.shape[1], 0.0, rng)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(used))
+        for b0 in range(0, len(order), cfg.batch_size):
+            batch = order[b0 : b0 + cfg.batch_size]
+            _, steps = _full_mask_loss_and_grads(w, xs[batch], ys[batch], cfg.learning_rate / len(batch))
+            for name in C.TENSOR_NAMES:
+                getattr(w, name)[...] -= steps[name]
+    return w
+
+
+class TestTrainSteps:
+    @given(st.one_of(st.integers(7, 40), st.just(150)), st.integers(2, 5), st.integers(1, 2),
+           st.integers(1, 2), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_train_equals_reference_sgd_bit_for_bit(self, n, batch_size, full, epochs, seed, data):
+        # full batches and then a shorter remainder batch in every epoch
+        count = full * batch_size + data.draw(st.integers(1, batch_size - 1), label="remainder")
+        rng = np.random.default_rng(seed)
+        windows = _labeled(rng, count, n=n)
+        cfg = C.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed % 1000)
+        got = C.train(windows, cfg)
+        ref = _reference_train(windows, cfg)
+        for name in C.TENSOR_NAMES:
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 def _members(w):
