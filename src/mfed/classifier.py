@@ -12,9 +12,11 @@ mini-batch SGD on binary cross-entropy, single-threaded. Each mini-batch
 is one forward and one backward pass over a ``(B, n, 3)`` stack of
 windows, whose gradients come out summed over the batch. The training step
 multiplies dloss/dz5 by ``learning_rate / B`` before the backward pass,
-which is linear in it, so the gradients come out as the SGD step itself and
-the update is one subtraction per tensor; ``loss_and_grads`` returns them
-unscaled. The backward pass applies the ReLU masks to the pooled gradients,
+which is linear in it, so the gradients come out as the SGD step itself,
+subtracted from each tensor. Dense1's step comes out as its two factors and
+is applied in row blocks, so the ``dense1_w``-sized gradient never exists in
+``train``; ``loss_and_grads`` returns the gradients unscaled, dense1's in
+full. The backward pass applies the ReLU masks to the pooled gradients,
 half the size of the conv outputs. Results are bit-reproducible for a given
 seed, but not bit-equal to summing per-window gradients, which adds in
 another order. Ambiguous windows are excluded from training.
@@ -52,6 +54,11 @@ CONV2_FILTERS = 64
 DENSE_UNITS = 100
 WEIGHTS_VERSION = 2
 DECISION_THRESHOLD = 0.5  # forward probability at or above it is a gesture
+# dense1's training step is subtracted this many rows of dense1_w at a time
+# (200 KiB of the step); at n = 150, B = 4 a training step took 1.35 ms with
+# blocks of 256 rows, 1.38 ms with 128 and 1.49 ms with the whole 2304-row
+# product (median of 15, 1 BLAS thread, x86-64 Xeon, numpy 2.4, OpenBLAS 0.3)
+_STEP_ROWS = 256
 
 POSITIVE_BAND = 2.0  # s from nearest annotation
 AMBIGUOUS_BAND = 4.0
@@ -206,8 +213,9 @@ def _forward_pass(w: ModelWeights, x: np.ndarray, cache: dict | None = None) -> 
     return [_sigmoid(z) for z in z5.tolist()]
 
 
-def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients summed over the batch, given dloss/dz5 per window."""
+def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> tuple[dict, tuple]:
+    """Gradients summed over the batch, given dloss/dz5 per window, but for
+    dense1_w's, which is ``flat.T @ dz3``: beside them, ``(flat, dz3)``."""
     grads: dict[str, np.ndarray] = {}
     a4, a3, flat = cache["a4"], cache["a3"], cache["flat"]
     grads["out_w"] = a4.T @ dz5[:, None]
@@ -216,18 +224,18 @@ def _backward_pass(w: ModelWeights, cache: dict, dz5: np.ndarray) -> dict[str, n
     grads["dense2_w"] = a3.T @ dz4
     grads["dense2_b"] = dz4.sum(axis=0)
     dz3 = (dz4 @ w.dense2_w.T) * (a3 > 0)
-    grads["dense1_w"] = flat.T @ dz3
     grads["dense1_b"] = dz3.sum(axis=0)
     # ReLU masks on the pooled gradient: a winner's activation is the pooled
-    # value, and a loser's gradient is +0.0 either way
-    dp2 = (dz3 @ w.dense1_w.T).reshape(cache["p2"].shape)
+    # value, and a loser's gradient is +0.0 either way; BLAS takes a slower path
+    # for a C-ordered dz3 beside the transposed weights
+    dp2 = (np.asfortranarray(dz3) @ w.dense1_w.T).reshape(cache["p2"].shape)
     dp2 *= cache["p2"] > 0
     dz2 = kernels.maxpool2_backward(cache["a2"], dp2)
     dp1, grads["conv2_w"], grads["conv2_b"] = kernels.conv2d_backward(cache["p1"], w.conv2_w, dz2, input_grad=True)
     dp1 *= cache["p1"] > 0
     dz1 = kernels.maxpool2_backward(cache["a1"], dp1)
     _, grads["conv1_w"], grads["conv1_b"] = kernels.conv2d_backward(cache["x3"], w.conv1_w, dz1, input_grad=False)
-    return grads
+    return grads, (flat, dz3)
 
 
 def check_rows(weights: ModelWeights | None, rows: int, where: str):
@@ -270,13 +278,16 @@ def loss_and_grads(w: ModelWeights, x: np.ndarray, y) -> tuple[float, dict]:
     batch with ``(B,)`` labels; one ``(n, 3)`` window takes a scalar label."""
     if x.ndim == 2:
         x, y = x[None], [y]
-    return _loss_and_scaled_grads(w, x, y, 1.0)
+    loss, grads, (flat, dz3) = _loss_and_scaled_grads(w, x, y, 1.0)
+    grads["dense1_w"] = flat.T @ dz3
+    return loss, grads
 
 
-def _loss_and_scaled_grads(w: ModelWeights, x: np.ndarray, y, scale: float) -> tuple[float, dict]:
+def _loss_and_scaled_grads(w: ModelWeights, x: np.ndarray, y, scale: float) -> tuple[float, dict, tuple]:
     """``loss_and_grads`` of a batch with every gradient multiplied by
-    ``scale``: the backward pass is linear in dloss/dz5, so scaling those B
-    numbers scales every gradient it computes from them."""
+    ``scale``, dense1_w's as its factors: the backward pass is linear in
+    dloss/dz5, so scaling those B numbers scales every gradient it computes
+    from them."""
     y = np.asarray(y, dtype=np.float64)
     cache: dict = {}
     p = _forward_pass(w, x, cache)
@@ -284,7 +295,7 @@ def _loss_and_scaled_grads(w: ModelWeights, x: np.ndarray, y, scale: float) -> t
     loss = 0.0
     for pi, yi in zip(p, y.tolist()):
         loss -= yi * math.log(max(pi, eps)) + (1.0 - yi) * math.log(max(1.0 - pi, eps))
-    return loss, _backward_pass(w, cache, (np.asarray(p) - y) * scale)
+    return loss, *_backward_pass(w, cache, (np.asarray(p) - y) * scale)
 
 
 @dataclass(frozen=True)
@@ -315,18 +326,26 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
 
     rng = np.random.default_rng(cfg.seed)
     w = init_weights(n, rate, rng)
-    names = list(w.tensors())
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(used))
         total = 0.0
         for b0 in range(0, len(order), cfg.batch_size):
             batch = order[b0 : b0 + cfg.batch_size]
-            loss, steps = _loss_and_scaled_grads(w, xs[batch], ys[batch], cfg.learning_rate / len(batch))
+            loss, steps, (flat, dz3) = _loss_and_scaled_grads(w, xs[batch], ys[batch], cfg.learning_rate / len(batch))
             total += loss
-            for k in names:
-                getattr(w, k)[...] -= steps[k]
+            for k, step in steps.items():
+                getattr(w, k)[...] -= step
+            _subtract_product(w.dense1_w, flat, dz3)
         logger.info("epoch %d/%d loss %.6f", epoch + 1, cfg.epochs, total / len(used))
     return w.validate()
+
+
+def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``out -= a.T @ b`` in blocks of ``_STEP_ROWS`` rows, so the product is
+    never whole; each block holds the bytes of the whole product's rows."""
+    at = a.T
+    for r in range(0, out.shape[0], _STEP_ROWS):
+        out[r : r + _STEP_ROWS] -= at[r : r + _STEP_ROWS] @ b
 
 
 def training_accuracy(weights: ModelWeights, data: list[LabeledWindow]) -> float:

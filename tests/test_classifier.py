@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -503,6 +504,20 @@ class TestTrain:
             expected = arr - cfg.learning_rate / b * grads[name]
             assert np.max(np.abs(got[name] - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
+    def test_no_dense1_sized_gradient_in_a_training_step(self):
+        # the step is applied to dense1_w in row blocks, so no temporary as
+        # large as dense1_w itself is ever live beside the weights
+        data = _labeled(np.random.default_rng(21), 4, n=150)
+        cfg = C.TrainConfig(epochs=1, batch_size=2, seed=3)
+        tracemalloc.start()
+        try:
+            w = C.train(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(arr.nbytes for arr in w.tensors().values())
+        assert peak - kept < w.dense1_w.nbytes
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         w = small_weights(12, n=8)
@@ -645,7 +660,10 @@ class TestBatch:
 # ---------------------------------------------------------------------------
 # The batched training pass as it was when the pools selected with np.where
 # and the ReLU masks multiplied the full-size conv gradients after routing.
-# loss_and_grads must give the same bytes.
+# loss_and_grads must give the same bytes. Dense1's input gradient takes the
+# program's operand order, np.asfortranarray(dz3) @ dense1_w.T, whose last
+# bits BLAS may round otherwise than dz3 @ dense1_w.T's: this pins where the
+# masks apply, not the order of the BLAS operands.
 
 
 def _maxpool2_where(x):
@@ -683,7 +701,7 @@ def _full_mask_loss_and_grads(w, x, y, scale=1.0):
     g["dense2_w"], g["dense2_b"] = a3.T @ dz4, dz4.sum(axis=0)
     dz3 = (dz4 @ w.dense2_w.T) * (a3 > 0)
     g["dense1_w"], g["dense1_b"] = flat.T @ dz3, dz3.sum(axis=0)
-    dp2 = (dz3 @ w.dense1_w.T).reshape(i2.shape)
+    dp2 = (np.asfortranarray(dz3) @ w.dense1_w.T).reshape(i2.shape)
     dz2 = _maxpool2_backward_where(dp2, i2, a2.shape[-3])
     dz2 *= a2 > 0
     dp1, g["conv2_w"], g["conv2_b"] = kernels.conv2d_backward(p1, w.conv2_w, dz2, input_grad=True)
