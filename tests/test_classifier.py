@@ -640,10 +640,14 @@ def _window_loss_and_grads(w, x, y):
 
 
 class TestBatch:
-    @given(st.integers(7, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    @given(st.integers(7, 40), st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    # out_b's two terms, 0.49787 and -0.49798, cancel to 1e-4 of either
+    @example(n=7, ys=[0.0, 1.0], seed=1032)
     @settings(max_examples=100, deadline=None)
-    def test_batch_equals_sum_of_windows(self, n, b, seed, data):
-        ys = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=b, max_size=b), label="ys"))
+    def test_batch_equals_sum_of_windows(self, n, ys, seed):
+        ys = np.array(ys)
+        b = len(ys)
         rng = np.random.default_rng(seed)
         w = _random_weights(n, rng)
         xs = rng.normal(size=(b, n, 3)) * rng.uniform(0.1, 5.0, size=3) + rng.normal(0, 5, size=3)
@@ -653,8 +657,11 @@ class TestBatch:
         assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
         for name, arr in w.tensors().items():
             ref = sum(g[name] for _, g in per_window)
+            # a sum rounds in proportion to its terms' magnitudes, not to its own,
+            # which cancellation can make as small as it likes
+            scale = np.max(sum(np.abs(g[name]) for _, g in per_window))
             assert grads[name].shape == arr.shape
-            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------
