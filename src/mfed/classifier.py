@@ -343,9 +343,8 @@ def train(data: list[LabeledWindow], cfg: TrainConfig, rate: float = 0.0) -> Mod
 def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray):
     """``out -= a.T @ b`` in blocks of ``_STEP_ROWS`` rows, so the product is
     never whole; each block holds the bytes of the whole product's rows."""
-    at = a.T
     for r in range(0, out.shape[0], _STEP_ROWS):
-        out[r : r + _STEP_ROWS] -= at[r : r + _STEP_ROWS] @ b
+        out[r : r + _STEP_ROWS] -= a.T[r : r + _STEP_ROWS] @ b
 
 
 def training_accuracy(weights: ModelWeights, data: list[LabeledWindow]) -> float:
