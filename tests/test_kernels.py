@@ -143,6 +143,25 @@ class TestMovingAverage:
         out = kernels.moving_average(x, half, np.empty_like(x))
         assert out.tobytes() == _moving_average_gather(x, half).tobytes()
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_in_place_equals_out_of_place(self, data):
+        # smoothing a series into its own samples relies on this: a block's
+        # rows are read into the cumsum before any row is written
+        if data.draw(st.booleans(), label="short blocks"):
+            block = data.draw(st.integers(1, 30), label="block")
+            n = data.draw(st.integers(0, 80), label="n")
+        else:
+            block, b = kernels._GATHER_ROWS, kernels._GATHER_ROWS
+            n = data.draw(st.sampled_from([b - 1, b, b + 1, 2 * b + 7, 3 * b + 25]) | st.integers(0, 80), label="n")
+        half = data.draw(st.integers(0, 12) | st.integers(0, n + 2), label="half")
+        x = _long_matrix(n, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        with mock.patch.object(kernels, "_GATHER_ROWS", block):
+            expected = kernels.moving_average(x, half, np.empty_like(x))
+            out = kernels.moving_average(x, half, x)
+        assert out is x
+        assert x.tobytes() == expected.tobytes()
+
 
 class TestPoiScan:
     @given(scans())

@@ -230,6 +230,29 @@ class TestDetectPois:
             got = [p.index for p in detect_pois(s, cfg)]
             assert got == oracles.poi_oracle(s, cfg)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scan_matches_oracle_with_peaks_beside_a_gather_block_edge(self, data):
+        # the scan may look for peaks a block of _GATHER_ROWS rows at a time
+        b = kernels._GATHER_ROWS
+        edge = b * data.draw(st.integers(1, 2), label="edge")
+        n = edge + data.draw(st.integers(5, 60), label="rows past the edge")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        xyz = rng.normal(0.0, 0.5, (n, 3))
+        offsets = data.draw(st.sets(st.integers(-4, 4), min_size=1), label="offsets")
+        for d in offsets:  # adjacent dips of one depth are no strict peaks
+            xyz[edge + d, 0] = data.draw(st.sampled_from([-5.0, -4.0, -3.0, -2.5]), label="dip")
+        series = AccelSeries(25.0, np.arange(n) / 25.0, xyz)
+        cfg = DetectorConfig(
+            x_th=data.draw(st.sampled_from([-4.0, -3.0, -1.0]), label="x_th"),
+            v_th=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="v_th"),
+            peak_min_gap=data.draw(st.sampled_from([0.01, 0.1, 2.0]), label="min_gap"),
+            window_len=data.draw(st.sampled_from([0.2, 1.0]), label="window_len"),
+        )
+        _, left, right = window_extent(cfg.window_len, series.rate)
+        idx, _ = kernels.poi_scan(series.t, series.xyz, cfg.x_th, cfg.v_th, cfg.peak_min_gap, left, right)
+        assert idx.tolist() == oracles.poi_oracle(series, cfg)
+
     def test_poi_invariants_hold(self):
         rng = np.random.default_rng(7)
         cfg = DetectorConfig()

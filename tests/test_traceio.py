@@ -303,6 +303,30 @@ class TestBulkMatchesLineParser:
             expected = _outcome(lambda: load_annotations(str(csv_path)))
         assert got == expected
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_around_the_unzip_block_size(self, csv_path, data):
+        # the bulk reader moves the parsed rows into their arrays a block at a time
+        block = data.draw(st.integers(1, 8), label="block")
+        n = data.draw(st.integers(1, 4).map(lambda k: k * block) | st.integers(1, 40), label="rows")
+        n += data.draw(st.sampled_from([-1, 0, 1]), label="offset") if n > 1 else 0
+        header = data.draw(st.sampled_from([traceio.TRACE_HEADER, traceio.ANNOTATION_HEADER]), label="header")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.uniform(-20, 20, (n, len(header) - 1))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        lines = [",".join(header)] + [
+            ",".join([str(40 * i + int(rng.integers(0, 3)))] + [f"{v:.6f}" if i % 2 else repr(v) for v in row])
+            for i, row in enumerate(values.tolist())
+        ]
+        csv_path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(traceio, "_UNZIP_ROWS", block, create=True):
+            bulk = traceio._read_bulk(str(csv_path), header)
+        assert bulk is not None
+        expected = traceio._parse_lines(str(csv_path), header)
+        for got, ref in zip(bulk, expected):
+            assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Line numbers: a bad row is reported at the physical line it starts on
