@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import logging
 import sys
+from dataclasses import replace
 
 from . import classifier, sim, traceio
 from .errors import MfedError
@@ -117,8 +118,11 @@ def _out_fh(path: str | None):
 
 
 def _load_inputs(args):
+    """The trace, smoothed into its own samples, which no command reads
+    again, and the detector config, whose smoothing is then done."""
     series = traceio.load_trace(args.trace, args.rate)
-    return series, DetectorConfig(x_th=args.xth, v_th=args.vth)
+    cfg = DetectorConfig(x_th=args.xth, v_th=args.vth)
+    return smooth(series, cfg.smooth_len, out=series.xyz), replace(cfg, smooth_len=0.0)
 
 
 def _cmd_detect(args) -> int:
@@ -134,10 +138,9 @@ def _cmd_train(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     series, cfg = _load_inputs(args)
     annotations = traceio.load_annotations(args.annotations)
-    smoothed = smooth(series, cfg.smooth_len)
     data = []
-    for poi in detect_pois(smoothed, cfg):
-        window = extract_window(smoothed, poi, cfg)
+    for poi in detect_pois(series, cfg):
+        window = extract_window(series, poi, cfg)
         data.append(classifier.LabeledWindow(window, classifier.label_poi(poi.t, annotations)))
     train_cfg = classifier.TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch, seed=args.seed

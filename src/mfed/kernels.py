@@ -127,18 +127,19 @@ def moving_average(x: np.ndarray, half: int, out: np.ndarray) -> np.ndarray:
 def poi_scan(t, xyz, x_th, v_th, min_gap, left, right):
     xs = xyz[:, 0]
     n = xs.shape[0]
-    mid = xs[1:-1]
-    peaks = np.flatnonzero((mid < xs[:-2]) & (mid < xs[2:]) & (mid <= x_th)) + 1
-
     kept: list[int] = []
     t_kept = x_kept = 0.0
-    for i, ti, xi in zip(peaks.tolist(), t[peaks].tolist(), xs[peaks].tolist()):
-        if kept and ti - t_kept < min_gap:
-            if xi < x_kept:
-                kept[-1], t_kept, x_kept = i, ti, xi
-        else:
-            kept.append(i)
-            t_kept, x_kept = ti, xi
+    for a in range(1, n - 1, _GATHER_ROWS):  # strict peaks at or below x_th, a block of rows at a time
+        b = min(a + _GATHER_ROWS, n - 1)
+        mid = xs[a:b]
+        peaks = np.flatnonzero((mid < xs[a - 1 : b - 1]) & (mid < xs[a + 1 : b + 1]) & (mid <= x_th)) + a
+        for i, ti, xi in zip(peaks.tolist(), t[peaks].tolist(), xs[peaks].tolist()):
+            if kept and ti - t_kept < min_gap:
+                if xi < x_kept:
+                    kept[-1], t_kept, x_kept = i, ti, xi
+            else:
+                kept.append(i)
+                t_kept, x_kept = ti, xi
 
     idx = np.asarray(kept, np.int64)
     idx = idx[(idx >= left) & (idx + right < n)]

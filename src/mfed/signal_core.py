@@ -51,9 +51,9 @@ class AccelSeries:
             raise ConfigError(f"rate must be positive and finite, got {self.rate!r}")
         if xyz.ndim != 2 or xyz.shape[1] != 3 or xyz.shape[0] != t.shape[0]:
             raise ConfigError(f"xyz shape {xyz.shape} does not match {t.shape[0]} timestamps")
-        if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
+        if t.size and (t[0] < 0 or not _increasing(t)):
             raise ConfigError("timestamps must be non-negative and strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(xyz))):
+        if not (_finite(t) and _finite(xyz)):
             raise ConfigError("samples must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "xyz", xyz)
@@ -70,6 +70,24 @@ class AccelSeries:
     def duration(self) -> float:
         """Nominal duration in seconds (sample count over rate)."""
         return len(self) / self.rate
+
+
+def _increasing(t: np.ndarray) -> bool:
+    """Whether no difference of ``t`` is at or below zero, the differences
+    taken ``_DIFF_ROWS`` at a time."""
+    n = t.shape[0]
+    for a in range(0, n - 1, _DIFF_ROWS):  # t[a + 1 : b + 1] - t[a : b] is np.diff(t)[a:b]
+        b = min(a + _DIFF_ROWS, n - 1)
+        if np.any(t[a + 1 : b + 1] - t[a:b] <= 0):
+            return False
+    return True
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every element of ``a`` is finite: a NaN or an infinity
+    reaches its minimum or its maximum, so no array the size of ``a`` is
+    made."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _unchecked(rate: float, t: np.ndarray, xyz: np.ndarray) -> AccelSeries:
@@ -144,26 +162,35 @@ def split_segments(series: AccelSeries) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def smooth(series: AccelSeries, smooth_len: float) -> AccelSeries:
+def smooth(series: AccelSeries, smooth_len: float, out: np.ndarray | None = None) -> AccelSeries:
     """Centered moving average per channel, truncated at edges.
 
     Length and timestamps are preserved; smoothing never crosses a dropout
-    gap. ``smooth_len=0`` returns the input unchanged. The result shares
-    ``t`` with the input, which is valid already, so only the smoothed
-    values are checked: they are finite unless a cumsum overflowed, and
-    then this raises ConfigError without a numpy warning. The check reads
-    only their minimum and maximum, which a NaN or an infinity reaches, so
-    it allocates no array the size of the series. Each segment's moving
-    average is written into its rows of one output array.
+    gap. ``smooth_len=0`` returns the input unchanged, unless ``out`` is
+    given. The result shares ``t`` with the input, which is valid already,
+    so only the smoothed values are checked: they are finite unless a
+    cumsum overflowed, and then this raises ConfigError without a numpy
+    warning. The check reads only their minimum and maximum, which a NaN or
+    an infinity reaches, so it allocates no array the size of the series.
+
+    Each segment's moving average is written into its rows of one output
+    array: a new one, or ``out``, a float64 array of the samples' shape.
+    ``out`` may be ``series.xyz`` itself, which smooths in place, to the
+    same bytes: ``kernels.moving_average`` reads a block of rows before it
+    writes any row of it, writes only rows before the block's end, and
+    finishes the edge rows from its carried cumsum alone. The raw samples
+    are gone then, and so is the input series; pass ``series.xyz`` only
+    when nothing reads them again.
     """
     width = smooth_width(smooth_len, series.rate)
-    if width <= 1:
+    if width <= 1 and out is None:
         return series
-    out = np.empty_like(series.xyz)
+    if out is None:
+        out = np.empty_like(series.xyz)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         for lo, hi in split_segments(series):
             kernels.moving_average(series.xyz[lo:hi], width // 2, out[lo:hi])
-    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+    if not _finite(out):
         raise ConfigError("smoothing overflowed: the smoothed samples are not finite")
     return _unchecked(series.rate, series.t, out)
 

@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NonMonotonicTimestamp, ParseError
-from .signal_core import AccelSeries
+from .signal_core import AccelSeries, _finite, _increasing
 
 RATE_TOLERANCE = 0.25  # declared rate may differ from median spacing by 25%
 
@@ -42,6 +42,7 @@ ANNOTATION_HEADER = ("t_ms",)
 # character sends the file to the line parser.
 _BULK_CHARS = b"0123456789+-.eE, \t\r\n"
 _CHECK_BYTES = 1 << 16  # body bytes per _BULK_CHARS check
+_UNZIP_ROWS = 1 << 13  # parsed records moved into place at a time
 
 
 def load_trace(path: str, rate: float) -> AccelSeries:
@@ -49,7 +50,7 @@ def load_trace(path: str, rate: float) -> AccelSeries:
     t, xyz = _read_csv(path, TRACE_HEADER)
     series = AccelSeries(rate, t, xyz)
     if len(series) >= 2:
-        median_dt = float(np.median(np.diff(series.t)))
+        median_dt = float(np.median(np.diff(series.t), overwrite_input=True))
         if abs(median_dt - 1.0 / rate) > RATE_TOLERANCE / rate:
             raise ConfigError(
                 f"declared rate {rate} Hz does not match median spacing {median_dt:.4f} s (in {path})"
@@ -103,14 +104,25 @@ def _read_bulk(path: str, header: tuple[str, ...]):
     ) or not _fields_within_csv_limit(raw):
         return None
     del raw  # free the file's bytes before numpy reads it
-    dtype = np.dtype([("t_ms", np.int64), ("v", np.float64, (len(header) - 1,))])
+    w = len(header) - 1
+    dtype = np.dtype([("t_ms", np.int64), ("v", np.float64, (w,))])
     # An absolute path: np.loadtxt opens a "scheme://..." name as a URL.
     rows = np.loadtxt(
         os.path.abspath(path), dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
     )
+    n = rows.shape[0]
     t = rows["t_ms"] / 1000.0
-    values = np.ascontiguousarray(rows["v"])
-    if not (np.all(t[:1] >= 0) and np.all(t[1:] > t[:-1]) and np.all(np.isfinite(values))):
+    # Unzip the records inside their own bytes: the values to the front, in
+    # ascending blocks, then t to the tail. Block [a, b) writes bytes below
+    # 8 * w * b, where only records below b lie; numpy copies any overlap
+    # within a block through a temporary.
+    buf = rows.view(np.float64)
+    values = buf[: w * n].reshape(n, w)
+    for a in range(0, n, _UNZIP_ROWS):
+        values[a : a + _UNZIP_ROWS] = rows["v"][a : a + _UNZIP_ROWS]
+    buf[w * n :] = t
+    t = buf[w * n :]
+    if not (np.all(t[:1] >= 0) and _increasing(t) and _finite(values)):
         return None
     return t, values
 

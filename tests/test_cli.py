@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,28 @@ class TestDetect:
         assert len(events) == 1
         assert events[0]["kind"] == "eating_event"
         assert len(events[0]["gestures"]) == len(gestures)
+
+    def test_holds_one_copy_of_the_samples(self, tmp_path):
+        # 100,000 rows in the benchmark's %d,%.6f,%.6f,%.6f format; a second copy
+        # of the samples (raw beside smoothed, or parsed records beside the
+        # arrays unzipped from them) would take the peak past 1.5 of them
+        gestures = [600.0 + 20.0 * i for i in range(8)]
+        series = synth.gesture_trace(np.random.default_rng(4), gestures, duration=4000.0)
+        trace, out = tmp_path / "trace.csv", tmp_path / "events.jsonl"
+        synth.write_trace_csv(str(trace), series)
+        # a first run does the lazy imports (np.median's numpy.ma) untraced
+        synth.write_trace_csv(str(tmp_path / "short.csv"), series.rows(0, 1000))
+        assert main(["detect", "--trace", str(tmp_path / "short.csv"), "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["detect", "--trace", str(trace), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert [len(json.loads(line)["gestures"]) for line in out.read_text().splitlines()] == [len(gestures)]
+        assert len(series) == 100_000
+        assert peak < 1.5 * (series.t.nbytes + series.xyz.nbytes)
 
     def test_missing_trace_is_data_error(self, tmp_path, capsys):
         code = main(["detect", "--trace", str(tmp_path / "nope.csv"), "--rate", "25"])

@@ -80,6 +80,24 @@ class TestSmooth:
         )
         assert smooth(s, 1.0).xyz.tobytes() == expected.tobytes()
 
+    @given(
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+        smooth_len=st.sampled_from([0.0, 0.2, 1.0, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_equals_a_new_array(self, lengths, smooth_len, seed):
+        # segments of the drawn lengths, some shorter than the window; the
+        # last row of each is followed by a dropout
+        t = np.concatenate([10.0 * k + np.arange(n) / 25.0 for k, n in enumerate(lengths)])
+        xyz = np.random.default_rng(seed).normal(size=(t.shape[0], 3))
+        xyz[xyz < -1.5] = -0.0
+        s = AccelSeries(25.0, t, xyz)
+        expected = smooth(s, smooth_len).xyz.copy()
+        out = smooth(s, smooth_len, out=s.xyz)
+        assert out.xyz is s.xyz and out.t is s.t
+        assert out.xyz.tobytes() == expected.tobytes()
+
     def test_allocates_little_beyond_its_result(self):
         # a whole-trace cumsum or timestamp diff would add 24 or 8 bytes a row
         n = 120_000

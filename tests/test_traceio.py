@@ -319,7 +319,7 @@ class TestBulkMatchesLineParser:
             for i, row in enumerate(values.tolist())
         ]
         csv_path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(traceio, "_UNZIP_ROWS", block, create=True):
+        with mock.patch.object(traceio, "_UNZIP_ROWS", block):
             bulk = traceio._read_bulk(str(csv_path), header)
         assert bulk is not None
         expected = traceio._parse_lines(str(csv_path), header)
