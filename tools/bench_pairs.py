@@ -15,8 +15,13 @@ the layout ``tools/check_bench.py`` checks: per workload the ``parent`` and
 ``change`` result lines in pair order, and a ``summary`` of each end-to-end
 metric with both medians, the parent's interquartile range, the ratio of
 the medians and the number of pairs the change won (ties count for
-neither). Each side's first machine line is kept. Exits 1 when a run fails
-or prints no result line.
+neither). Beside these stand the relative change of the medians with the
+metric's ``bound`` from ``BENCHMARK.json`` and whether the change is worse
+than the parent by more than it (``past_bound``), and whether the gain rule
+holds (``gain``): the change won at least nine tenths of the pairs and its
+median is better than the parent's by more than the parent's interquartile
+range. Each side's first machine line is kept, and stderr gets one line per
+workload and metric. Exits 1 when a run fails or prints no result line.
 """
 import argparse
 import json
@@ -52,14 +57,28 @@ def summary(runs: dict, metrics: list[dict]) -> dict:
         parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES)
         sign = 1 if m["better"] == "higher" else -1
         q1, q3 = quartiles(parent)
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        relative = (change_median - parent_median) / parent_median
         out[name] = {
-            "parent_median": statistics.median(parent),
+            "parent_median": parent_median,
             "parent_iqr": q3 - q1,
-            "change_median": statistics.median(change),
-            "change_over_parent": statistics.median(change) / statistics.median(parent),
-            "change_better_pairs": f"{sum(sign * (c - p) > 0 for p, c in zip(parent, change))}/{len(parent)}",
+            "change_median": change_median,
+            "change_over_parent": change_median / parent_median,
+            "change_better_pairs": f"{wins}/{len(parent)}",
+            "relative_change": relative,
+            "bound": m["bound"],
+            "past_bound": -sign * relative > m["bound"],
+            "gain": 10 * wins >= 9 * len(parent) and sign * (change_median - parent_median) > q3 - q1,
         }
     return out
+
+
+def summary_line(workload: str, name: str, s: dict) -> str:
+    verdict = "past bound" if s["past_bound"] else "gain" if s["gain"] else "no gain"
+    return (f"{workload} {name}: parent {s['parent_median']:.6g} (IQR {s['parent_iqr']:.3g}), change "
+            f"{s['change_median']:.6g}, {s['relative_change']:+.1%} against bound {s['bound']:.0%}, "
+            f"won {s['change_better_pairs']}: {verdict}")
 
 
 def commit(checkout: str):
@@ -96,6 +115,8 @@ def main(argv=None) -> int:
                     value = result["metrics"]["trace_h_per_s"]["value"]
                     print(f"{wl} pair {pair + 1}/{args.pairs} {side}: trace_h_per_s {value:.4g}", file=sys.stderr)
             workloads[wl] = {**runs, "summary": summary(runs, bench["end_to_end"])}
+            for name, s in workloads[wl]["summary"].items():
+                print(summary_line(wl, name, s), file=sys.stderr)
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
