@@ -55,8 +55,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
-# at most this many rows per cumsum block of the moving average and per variance
-# gather of the PoI scan (192 KiB of float64 rows of 3)
+# at most this many rows per cumsum block of the moving average, and per peak
+# search and variance gather of the PoI scan (192 KiB of float64 rows of 3)
 _GATHER_ROWS = 8192
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,12 @@ _GATHER_ROWS = 8192
 
 
 def moving_average(x: np.ndarray, half: int, out: np.ndarray) -> np.ndarray:
-    """The moving average of ``x``, written into ``out`` (same shape) and returned."""
+    """The moving average of ``x``, written into ``out`` (same shape) and returned.
+
+    ``out`` may be ``x`` itself: a block's rows are read into the cumsum
+    before any row of it is written, the rows written lie before the
+    block's end, and the edge rows read only the carried cumsum rows.
+    """
     n = x.shape[0]
     if half <= 0:
         out[...] = x

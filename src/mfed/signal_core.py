@@ -4,7 +4,10 @@ A PoI (point of interest) is a candidate eating gesture: a strict negative
 peak in the smoothed x-axis acceleration that survives close-peak
 suppression, sits at or below the acceleration threshold, and shows enough
 summed variance across the three axes in the surrounding window. All
-operations here are pure functions over immutable inputs.
+operations here are pure functions over immutable inputs, but for
+``smooth`` given ``out=series.xyz``: that smooths the series' own samples
+in place, for a caller that never reads the raw samples again (the CLI;
+the simulator ships its raw samples, so it smooths into a new array).
 
 Sample spacing is nominally 1/rate. Gaps larger than 1.5x the nominal
 spacing split a series into segments that are smoothed and scanned
@@ -72,15 +75,18 @@ class AccelSeries:
         return len(self) / self.rate
 
 
-def _increasing(t: np.ndarray) -> bool:
-    """Whether no difference of ``t`` is at or below zero, the differences
-    taken ``_DIFF_ROWS`` at a time."""
+def _diffs(t: np.ndarray):
+    """``(a, np.diff(t)[a : a + _DIFF_ROWS])`` for each slice of differences,
+    so that no whole-series difference array is made."""
     n = t.shape[0]
-    for a in range(0, n - 1, _DIFF_ROWS):  # t[a + 1 : b + 1] - t[a : b] is np.diff(t)[a:b]
+    for a in range(0, n - 1, _DIFF_ROWS):
         b = min(a + _DIFF_ROWS, n - 1)
-        if np.any(t[a + 1 : b + 1] - t[a:b] <= 0):
-            return False
-    return True
+        yield a, t[a + 1 : b + 1] - t[a:b]
+
+
+def _increasing(t: np.ndarray) -> bool:
+    """Whether no difference of ``t`` is at or below zero."""
+    return not any(np.any(d <= 0) for _, d in _diffs(t))
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -150,14 +156,12 @@ def split_segments(series: AccelSeries) -> list[tuple[int, int]]:
 
     A gap above MAX_JITTER_FACTOR / rate starts a new segment.
     """
-    t, n = series.t, len(series)
+    n = len(series)
     if n == 0:
         return []
     bounds = [0]
-    for a in range(0, n - 1, _DIFF_ROWS):  # t[a + 1 : b + 1] - t[a : b] is np.diff(t)[a:b]
-        b = min(a + _DIFF_ROWS, n - 1)
-        gaps = t[a + 1 : b + 1] - t[a:b] > MAX_JITTER_FACTOR / series.rate
-        bounds += (np.flatnonzero(gaps) + a + 1).tolist()
+    for a, d in _diffs(series.t):
+        bounds += (np.flatnonzero(d > MAX_JITTER_FACTOR / series.rate) + a + 1).tolist()
     bounds.append(n)
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -166,21 +170,18 @@ def smooth(series: AccelSeries, smooth_len: float, out: np.ndarray | None = None
     """Centered moving average per channel, truncated at edges.
 
     Length and timestamps are preserved; smoothing never crosses a dropout
-    gap. ``smooth_len=0`` returns the input unchanged, unless ``out`` is
-    given. The result shares ``t`` with the input, which is valid already,
-    so only the smoothed values are checked: they are finite unless a
-    cumsum overflowed, and then this raises ConfigError without a numpy
-    warning. The check reads only their minimum and maximum, which a NaN or
-    an infinity reaches, so it allocates no array the size of the series.
+    gap. ``smooth_len=0`` returns the input unchanged (its samples copied
+    into ``out``, if given). The result shares ``t`` with the input, which
+    is valid already, so only the smoothed values are checked: they are
+    finite unless a cumsum overflowed, and then this raises ConfigError
+    without a numpy warning.
 
     Each segment's moving average is written into its rows of one output
     array: a new one, or ``out``, a float64 array of the samples' shape.
-    ``out`` may be ``series.xyz`` itself, which smooths in place, to the
-    same bytes: ``kernels.moving_average`` reads a block of rows before it
-    writes any row of it, writes only rows before the block's end, and
-    finishes the edge rows from its carried cumsum alone. The raw samples
-    are gone then, and so is the input series; pass ``series.xyz`` only
-    when nothing reads them again.
+    ``out`` may be ``series.xyz`` itself, which gives the same bytes in
+    place, since ``kernels.moving_average`` may write over its input. The
+    raw samples are gone then: pass ``series.xyz`` only when nothing reads
+    them again.
     """
     width = smooth_width(smooth_len, series.rate)
     if width <= 1 and out is None:

@@ -7,15 +7,18 @@ non-negative and strictly increasing in both, samples finite. An error
 names its file and the 1-based physical line on which the bad row starts,
 so a quoted field that holds a line end counts every line it spans.
 
-Both readers parse the body in bulk first: one ``np.loadtxt`` call, then
-vectorised monotonicity and finiteness checks. The bulk path only vouches
-for plain numeric text under a one-line header. Whenever it raises, warns
-(an empty body), meets a header that is not one line, a character outside
-``_BULK_CHARS`` or a field the csv module would refuse, or fails a check,
-the line parser reads the file again. The line parser is the reference:
-it returns the same arrays the bulk path would, accepts what Python's
-``csv``, ``int`` and ``float`` accept (quoted fields, ``1_0``,
-whitespace-only lines), and raises the line-numbered error.
+Both readers parse the body in bulk first: one ``np.loadtxt`` call into
+records of a timestamp and its values, unzipped inside their own bytes
+(the values to the front, the timestamps to the tail), so the samples are
+never held twice; then monotonicity and finiteness checks that make no
+whole-file temporary. The bulk path only vouches for plain numeric text
+under a one-line header. Whenever it raises, warns (an empty body), meets
+a header that is not one line, a character outside ``_BULK_CHARS`` or a
+field the csv module would refuse, or fails a check, the line parser
+reads the file again. The line parser is the reference: it returns the
+same arrays the bulk path would, accepts what Python's ``csv``, ``int``
+and ``float`` accept (quoted fields, ``1_0``, whitespace-only lines), and
+raises the line-numbered error.
 """
 from __future__ import annotations
 

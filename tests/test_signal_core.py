@@ -257,8 +257,11 @@ class TestDetectPois:
         n = edge + data.draw(st.integers(5, 60), label="rows past the edge")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         xyz = rng.normal(0.0, 0.5, (n, 3))
-        offsets = data.draw(st.sets(st.integers(-4, 4), min_size=1), label="offsets")
-        for d in offsets:  # adjacent dips of one depth are no strict peaks
+        # dips on every other row from 4 before the edge to 4 after it, each a
+        # strict peak, or on every row, where only deeper dips than both
+        # neighbours are
+        first, step = data.draw(st.sampled_from([(-4, 2), (-3, 2), (-4, 1)]), label="rows")
+        for d in range(first, 5, step):
             xyz[edge + d, 0] = data.draw(st.sampled_from([-5.0, -4.0, -3.0, -2.5]), label="dip")
         series = AccelSeries(25.0, np.arange(n) / 25.0, xyz)
         cfg = DetectorConfig(
