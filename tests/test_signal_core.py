@@ -87,8 +87,8 @@ class TestSmooth:
     )
     @settings(max_examples=60, deadline=None)
     def test_in_place_equals_a_new_array(self, lengths, smooth_len, seed):
-        # segments of the drawn lengths, some shorter than the window; the
-        # last row of each is followed by a dropout
+        # segments of the drawn lengths between dropouts, some shorter than
+        # the window
         t = np.concatenate([10.0 * k + np.arange(n) / 25.0 for k, n in enumerate(lengths)])
         xyz = np.random.default_rng(seed).normal(size=(t.shape[0], 3))
         xyz[xyz < -1.5] = -0.0
